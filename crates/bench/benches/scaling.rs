@@ -1,31 +1,37 @@
-//! Microbenchmarks for the million-node scaling substrate: sharded
-//! event-wheel push/pop throughput and struct-of-arrays node-state
+//! Microbenchmarks for the million-node scaling substrate: event-queue
+//! push/pop throughput per `QueueKind` and struct-of-arrays node-state
 //! access (the flat predictor bank and a full tiny-cache scale machine).
 //!
 //! Macro numbers (events/sec, bytes/node at 1k/128k/1M nodes) come from
-//! `flexsnoop bench --scale`; these benches isolate the two data
-//! structures that sweep leans on.
+//! `flexsnoop bench --scale`; these benches isolate the data structures
+//! that sweep leans on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexsnoop::{energy_model_for, Algorithm, MachineConfig, Simulator, VecStream};
-use flexsnoop_engine::{Cycle, Cycles, QueueKind, ShardedScheduler, SplitMix64};
+use flexsnoop_engine::{Cycles, QueueKind, Scheduler, SplitMix64};
 use flexsnoop_predictor::PredictorSpec;
 use flexsnoop_workload::{AccessStream, LineAddr, MemAccess};
 
 const EVENTS: u64 = 20_000;
 
-/// Pushes `EVENTS` timestamped events round-robin across the shards,
-/// then pops them all back in global order.
-fn wheel_push_pop(segments: usize) -> u64 {
-    let mut sched: ShardedScheduler<u64> = ShardedScheduler::new(QueueKind::Bucketed, segments);
-    let mut rng = SplitMix64::new(0xFEED + segments as u64);
-    for i in 0..EVENTS {
-        let at = Cycle::new(rng.next_u64() % 10_000);
-        sched.schedule_at(i as usize % segments, at, i);
+/// Events kept pending in the push/pop bench.
+const PENDING: u64 = 1_024;
+
+/// The hold model on one [`Scheduler`]: keep `PENDING` events queued,
+/// then `EVENTS` times pop the earliest and push a successor a short
+/// random delay later — the simulator's own pattern, with delays of
+/// ring-hop and snoop scale inside the bucketed wheel's horizon.
+fn scheduler_push_pop(kind: QueueKind) -> u64 {
+    let mut sched: Scheduler<u64> = Scheduler::with_queue(kind);
+    let mut rng = SplitMix64::new(0xFEED);
+    for i in 0..PENDING {
+        sched.schedule_in(Cycles(rng.next_u64() % 256), i);
     }
     let mut sum = 0u64;
-    while let Some((_, _, ev)) = sched.pop() {
+    for _ in 0..EVENTS {
+        let (_, ev) = sched.pop().expect("the hold model never drains");
         sum = sum.wrapping_add(ev);
+        sched.schedule_in(Cycles(1 + rng.next_u64() % 256), ev);
     }
     sum
 }
@@ -47,8 +53,8 @@ fn bank_sweep(nodes: usize, lookups: u64) -> u64 {
 }
 
 /// One full tiny-cache scale-machine run: 8 requesters on a 4096-node
-/// ring, exercising the sparse gateway map, residency counters and
-/// per-segment wheels together.
+/// ring, exercising the sparse gateway map, residency counters and the
+/// event wheel together.
 fn scale_sim_run() -> u64 {
     let nodes = 4096usize;
     let accesses = 8u64;
@@ -72,16 +78,15 @@ fn scale_sim_run() -> u64 {
         accesses,
     )
     .expect("scale machine configures");
-    sim.set_segments(4);
     sim.run().events
 }
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling");
     group.sample_size(10);
-    for segments in [1usize, 4, 16] {
-        group.bench_function(format!("wheel_push_pop_{segments}seg"), |b| {
-            b.iter(|| black_box(wheel_push_pop(segments)))
+    for (kind, name) in [(QueueKind::Heap, "heap"), (QueueKind::Bucketed, "bucketed")] {
+        group.bench_function(format!("scheduler_push_pop_{name}"), |b| {
+            b.iter(|| black_box(scheduler_push_pop(kind)))
         });
     }
     group.bench_function("soa_subset_bank_100k_nodes", |b| {

@@ -24,10 +24,7 @@
 use std::collections::VecDeque;
 
 use flexsnoop_engine::snap::{self, Fingerprint, SnapError, SnapReader, SnapWriter, Snapshot};
-use flexsnoop_engine::{
-    segment_of, Cycle, Cycles, FxHashMap, FxHashSet, QueueKind, Resource, Scheduler,
-    ShardedScheduler,
-};
+use flexsnoop_engine::{Cycle, Cycles, FxHashMap, FxHashSet, QueueKind, Resource, Scheduler};
 use flexsnoop_mem::{CacheGeometry, CmpCaches, CmpId, CoherState, InvalidateOutcome, LineAddr};
 use flexsnoop_metrics::{EnergyCategory, EnergyModel};
 use flexsnoop_net::{FaultPlan, FaultStats, RingConfig, RingNetwork, Torus, TorusConfig};
@@ -323,92 +320,6 @@ pub struct ChurnWindow {
     pub warm: bool,
 }
 
-/// The simulator's event queue: one global [`Scheduler`] by default, or a
-/// [`ShardedScheduler`] with one timing wheel per ring segment
-/// ([`Simulator::set_segments`]). Both pop in the same global
-/// `(time, insertion seq)` order, so every segment count produces
-/// bit-identical results; sharding exists to keep each wheel's working
-/// set small at large node counts and to expose per-segment event streams
-/// to the conservative parallel driver in `flexsnoop-engine`.
-#[derive(Debug)]
-enum SimSched {
-    Single(Scheduler<Event>),
-    Sharded(ShardedScheduler<Event>),
-}
-
-impl SimSched {
-    fn build(kind: QueueKind, segments: usize) -> Self {
-        if segments > 1 {
-            SimSched::Sharded(ShardedScheduler::new(kind, segments))
-        } else {
-            SimSched::Single(Scheduler::with_queue(kind))
-        }
-    }
-
-    fn segments(&self) -> usize {
-        match self {
-            SimSched::Single(_) => 1,
-            SimSched::Sharded(s) => s.shard_count(),
-        }
-    }
-
-    fn queue_kind(&self) -> QueueKind {
-        match self {
-            SimSched::Single(s) => s.queue_kind(),
-            SimSched::Sharded(s) => s.queue_kind(),
-        }
-    }
-
-    fn now(&self) -> Cycle {
-        match self {
-            SimSched::Single(s) => s.now(),
-            SimSched::Sharded(s) => s.now(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SimSched::Single(s) => s.len(),
-            SimSched::Sharded(s) => s.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            SimSched::Single(s) => s.is_empty(),
-            SimSched::Sharded(s) => s.is_empty(),
-        }
-    }
-
-    fn schedule_at(&mut self, shard: usize, at: Cycle, event: Event) {
-        match self {
-            SimSched::Single(s) => s.schedule_at(at, event),
-            SimSched::Sharded(s) => s.schedule_at(shard, at, event),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Cycle, Event)> {
-        match self {
-            SimSched::Single(s) => s.pop(),
-            SimSched::Sharded(s) => s.pop().map(|(t, _shard, e)| (t, e)),
-        }
-    }
-
-    fn peek_time(&self) -> Option<Cycle> {
-        match self {
-            SimSched::Single(s) => s.peek_time(),
-            SimSched::Sharded(s) => s.peek_time(),
-        }
-    }
-
-    fn restore_clock(&mut self, at: Cycle) {
-        match self {
-            SimSched::Single(s) => s.restore_clock(at),
-            SimSched::Sharded(s) => s.restore_clock(at),
-        }
-    }
-}
-
 /// The full-machine simulator for one (algorithm, predictor, workload) run.
 ///
 /// The typical flow — build from a workload profile, run to completion,
@@ -436,7 +347,7 @@ impl SimSched {
 pub struct Simulator {
     cfg: MachineConfig,
     alg: Algorithm,
-    sched: SimSched,
+    sched: Scheduler<Event>,
     cmps: Vec<CmpCaches>,
     predictors: PredictorBank,
     /// Per-group supplier-locality tables (hierarchical topologies only;
@@ -684,7 +595,7 @@ impl Simulator {
             .collect();
         Ok(Self {
             alg: algorithm,
-            sched: SimSched::Single(Scheduler::new()),
+            sched: Scheduler::new(),
             cmps,
             predictors,
             locality,
@@ -866,38 +777,7 @@ impl Simulator {
             !self.finished && self.sched.is_empty(),
             "use_event_queue() must be called before run()"
         );
-        self.sched = SimSched::build(kind, self.sched.segments());
-    }
-
-    /// Splits the event queue into `segments` per-ring-segment timing
-    /// wheels (see [`ShardedScheduler`]). Every event is routed to the
-    /// wheel of the node it acts on; pops interleave all wheels in global
-    /// `(time, insertion)` order, so **any** segment count produces
-    /// bit-identical results to the single-wheel default — only the
-    /// per-wheel working-set size changes. Call before
-    /// [`run`](Self::run); composes with
-    /// [`use_event_queue`](Self::use_event_queue) in either order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation has already started, or if `segments` is
-    /// zero or exceeds the node count.
-    pub fn set_segments(&mut self, segments: usize) {
-        assert!(
-            !self.finished && self.sched.is_empty(),
-            "set_segments() must be called before run()"
-        );
-        assert!(
-            segments >= 1 && segments <= self.cfg.nodes,
-            "segment count ({segments}) must be in 1..={}",
-            self.cfg.nodes
-        );
-        self.sched = SimSched::build(self.sched.queue_kind(), segments);
-    }
-
-    /// The configured ring-segment (event-wheel) count.
-    pub fn segments(&self) -> usize {
-        self.sched.segments()
+        self.sched = Scheduler::with_queue(kind);
     }
 
     /// The recorded transaction timelines.
@@ -1232,14 +1112,15 @@ impl Simulator {
             // dispatch after the node re-attached.
             for i in 0..self.churn.len() {
                 let w = self.churn[i];
-                self.schedule_event(
+                self.sched.schedule_at(
                     w.remove_at,
                     Event::ChurnDetach {
                         node: w.node,
                         warm: w.warm,
                     },
                 );
-                self.schedule_event(w.readd_at, Event::ChurnReadd { node: w.node });
+                self.sched
+                    .schedule_at(w.readd_at, Event::ChurnReadd { node: w.node });
             }
         }
         loop {
@@ -1329,34 +1210,6 @@ impl Simulator {
         self.stats.clone()
     }
 
-    /// Schedules `ev` on the event wheel of the ring segment that will
-    /// act on it (a no-op choice with a single wheel). Every event
-    /// producer funnels through here so segment routing stays in one
-    /// place.
-    fn schedule_event(&mut self, at: Cycle, ev: Event) {
-        let shard = match self.sched.segments() {
-            1 => 0,
-            segments => segment_of(self.event_node(&ev), self.cfg.nodes, segments),
-        };
-        self.sched.schedule_at(shard, at, ev);
-    }
-
-    /// The node whose ring segment owns `ev`: where the event's handler
-    /// reads and writes node-local state. Requester-side events for a
-    /// transaction that already retired (possible only for stale
-    /// wake-ups) default to node 0; their handlers discard them.
-    fn event_node(&self, ev: &Event) -> usize {
-        match *ev {
-            Event::CoreIssue { core, .. } => core / self.cfg.cores_per_cmp,
-            Event::RingArrive { node, .. } => node.0,
-            Event::SnoopDone { node, .. } | Event::WriteSnoopDone { node, .. } => node.0,
-            Event::ChurnDetach { node, .. } | Event::ChurnReadd { node } => node.0,
-            Event::DataArrive { txn } | Event::MemData { txn } | Event::Timeout { txn, .. } => {
-                self.txns.get(txn).map_or(0, |t| t.requester.0)
-            }
-        }
-    }
-
     /// Pulls the next access for `core` and schedules its issue, or marks
     /// the core done.
     fn advance_core(&mut self, core: usize, at: Cycle) {
@@ -1371,7 +1224,7 @@ impl Simulator {
         match c.stream.next_access() {
             Some(access) => {
                 c.issued += 1;
-                self.schedule_event(
+                self.sched.schedule_at(
                     at + access.think,
                     Event::CoreIssue {
                         core,
@@ -1423,7 +1276,7 @@ impl Simulator {
                 .map(|w| w.readd_at)
                 .min()
                 .expect("detached node has no pending re-add");
-            self.schedule_event(
+            self.sched.schedule_at(
                 readd,
                 Event::CoreIssue {
                     core,
@@ -1677,7 +1530,7 @@ impl Simulator {
         };
         self.send_ring(msg, requester, leave, op);
         if self.unreliable && self.recovery {
-            self.schedule_event(
+            self.sched.schedule_at(
                 leave + self.timeout_window(requester, 0),
                 Event::Timeout {
                     txn: id,
@@ -1762,7 +1615,8 @@ impl Simulator {
                 if let Some(p) = self.probe.as_deref_mut() {
                     p.ring_hop(arrival - leave);
                 }
-                self.schedule_event(arrival, Event::RingArrive { msg, node });
+                self.sched
+                    .schedule_at(arrival, Event::RingArrive { msg, node });
             }
             None => {
                 self.timeline
@@ -1778,7 +1632,8 @@ impl Simulator {
             if let Some(p) = self.probe.as_deref_mut() {
                 p.ring_hop(dup_at - leave);
             }
-            self.schedule_event(dup_at, Event::RingArrive { msg, node });
+            self.sched
+                .schedule_at(dup_at, Event::RingArrive { msg, node });
         }
     }
 
@@ -1963,7 +1818,7 @@ impl Simulator {
             via_global: false,
         };
         self.send_ring(msg, requester, leave, op);
-        self.schedule_event(
+        self.sched.schedule_at(
             leave + self.timeout_window(requester, new_attempt),
             Event::Timeout {
                 txn: txn_id,
@@ -2017,7 +1872,7 @@ impl Simulator {
         };
         self.send_ring(msg, requester, leave, op);
         if self.unreliable && self.recovery {
-            self.schedule_event(
+            self.sched.schedule_at(
                 leave + self.timeout_window(requester, attempt),
                 Event::Timeout {
                     txn: txn_id,
@@ -2225,7 +2080,7 @@ impl Simulator {
         self.timeline
             .record(txn, start, TxnEvent::SnoopStarted { node });
         let grant = self.snoop_ports[node.0].acquire(start, self.cfg.timing.snoop_occupancy);
-        self.schedule_event(
+        self.sched.schedule_at(
             grant.start + self.cfg.timing.snoop_time,
             Event::SnoopDone { txn, node, attempt },
         );
@@ -2296,7 +2151,8 @@ impl Simulator {
             // circulation finds it again and re-requests the data.
             match self.torus.send_outcome(node, requester, now) {
                 Some(data_at) => {
-                    self.schedule_event(data_at, Event::DataArrive { txn: txn_id });
+                    self.sched
+                        .schedule_at(data_at, Event::DataArrive { txn: txn_id });
                     self.note_data_scheduled(txn_id);
                 }
                 None => self.note_torus_drop(),
@@ -2513,7 +2369,7 @@ impl Simulator {
         self.timeline
             .record(txn, start, TxnEvent::SnoopStarted { node });
         let grant = self.snoop_ports[node.0].acquire(start, self.cfg.timing.snoop_occupancy);
-        self.schedule_event(
+        self.sched.schedule_at(
             grant.start + self.cfg.timing.snoop_time,
             Event::WriteSnoopDone { txn, node, attempt },
         );
@@ -2559,7 +2415,8 @@ impl Simulator {
             // only holder of the data — losing it is unrecoverable without
             // a value-level ack protocol. Same for writebacks.
             let data_at = self.torus.send(node, requester, now);
-            self.schedule_event(data_at, Event::DataArrive { txn: txn_id });
+            self.sched
+                .schedule_at(data_at, Event::DataArrive { txn: txn_id });
             if let Some(txn) = self.txns.get_mut(txn_id) {
                 txn.data_sent = true;
                 txn.data_pending += 1;
@@ -2792,7 +2649,7 @@ impl Simulator {
         };
         match data_at {
             Some(at) => {
-                self.schedule_event(at, Event::MemData { txn: txn_id });
+                self.sched.schedule_at(at, Event::MemData { txn: txn_id });
                 self.note_data_scheduled(txn_id);
             }
             None => self.note_torus_drop(),
@@ -2850,7 +2707,7 @@ impl Simulator {
                     };
                     match data_at {
                         Some(at) => {
-                            self.schedule_event(at, Event::MemData { txn: txn_id });
+                            self.sched.schedule_at(at, Event::MemData { txn: txn_id });
                             self.note_data_scheduled(txn_id);
                         }
                         None => self.note_torus_drop(),
@@ -2936,7 +2793,7 @@ impl Simulator {
                         self.try_retire(txn_id, now);
                         // `replay: true`: the original issue already took
                         // the load-queue slot; the retry must not recount.
-                        self.schedule_event(
+                        self.sched.schedule_at(
                             now + Cycles(1),
                             Event::CoreIssue {
                                 core,
@@ -3112,7 +2969,7 @@ impl Simulator {
         // conflict rule (some may immediately re-queue).
         if let Some(waiters) = self.line_waiters.remove(&line) {
             for (core, access) in waiters {
-                self.schedule_event(
+                self.sched.schedule_at(
                     now + Cycles(1),
                     Event::CoreIssue {
                         core,
@@ -3329,16 +3186,17 @@ impl Simulator {
     /// Hashes every configuration input that shapes the dynamic state a
     /// snapshot carries: the machine parameters, the algorithm, and the
     /// per-core access limits. Deliberately *excluded* are the event-queue
-    /// backend, the segment count (snapshots re-route events through
-    /// `schedule_event`, so they are portable across both) and the
-    /// fault plan (a resumed run may widen the fault budget — the basis of
-    /// the chaos shrinker's snapshot bisection).
+    /// backend (both backends pop in the same `(time, insertion seq)`
+    /// order, and a snapshot stores its events in that order, so it
+    /// resumes on either) and the fault plan (a resumed run may widen the
+    /// fault budget — the basis of the chaos shrinker's snapshot
+    /// bisection).
     ///
     /// Public because the sweep service (`flexsnoop-serve`) keys its
     /// results cache on this value: two simulators with equal
     /// fingerprints run the same machine under the same algorithm, and
-    /// the excluded inputs (backend, segments) are exactly the ones the
-    /// segment-identity tests prove result-neutral. Inputs the snapshot
+    /// the excluded backend is exactly the input the Heap-vs-Bucketed
+    /// determinism tests prove result-neutral. Inputs the snapshot
     /// codec treats as constructor data — the workload identity, the
     /// predictor spec, the seed — are *not* covered and must be mixed in
     /// by the caller when the key has to distinguish them.
@@ -3422,7 +3280,7 @@ impl Simulator {
     /// ([`Self::restore_snapshot`]) onto a freshly built simulator of the
     /// same configuration and then running to completion produces
     /// bit-identical [`RunStats`] to the uninterrupted run, regardless of
-    /// either side's event-queue backend or segment count.
+    /// either side's event-queue backend.
     ///
     /// Takes `&mut self` because the event queue must be drained to
     /// observe its global pop order; the queue is rebuilt in place and
@@ -3543,9 +3401,10 @@ impl Simulator {
             m.save_into(&mut w);
         }
         w.put_usize(self.active_cores);
-        // The event queue comes last (restore needs the transaction table
-        // to route events to segments). Observing the global pop order
-        // requires draining; record the clock first — popping advances it.
+        // The event queue comes last, where every SNAP v3 stream has it;
+        // the position is kept for format stability. Observing the global
+        // pop order requires draining; record the clock first — popping
+        // advances it.
         let now0 = self.sched.now();
         w.put_cycle(now0);
         let mut events = Vec::with_capacity(self.sched.len());
@@ -3558,9 +3417,9 @@ impl Simulator {
             save_event(ev, &mut w);
         }
         // Rebuild the queue and put everything back, restoring the pops.
-        self.sched = SimSched::build(self.sched.queue_kind(), self.sched.segments());
+        self.sched = Scheduler::with_queue(self.sched.queue_kind());
         for (t, ev) in events {
-            self.schedule_event(t, ev);
+            self.sched.schedule_at(t, ev);
         }
         self.sched.restore_clock(now0);
         snap::seal(w.into_bytes())
@@ -3572,8 +3431,8 @@ impl Simulator {
     /// and, if the snapshot was taken with a fault plan armed, the same
     /// plan (or one widened via `FaultPlan::with_budget`) armed via
     /// [`set_fault_plan`](Self::set_fault_plan) *before* restoring.
-    /// Queue backend and segment count are free choices: events re-route
-    /// through the live queue's scheduling path on the way in.
+    /// The queue backend is a free choice: events are re-pushed in their
+    /// saved pop order, which either backend pops back identically.
     ///
     /// # Errors
     ///
@@ -3756,7 +3615,7 @@ impl Simulator {
         for _ in 0..r.get_usize()? {
             let t = r.get_cycle()?;
             let ev = load_event(&mut r)?;
-            self.schedule_event(t, ev);
+            self.sched.schedule_at(t, ev);
         }
         self.sched.restore_clock(now0);
         self.started = started;

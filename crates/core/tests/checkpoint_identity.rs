@@ -3,13 +3,14 @@
 //! The correctness bar for `save_snapshot`/`restore_snapshot`: a run
 //! saved at cycle C and resumed on a freshly built simulator finishes
 //! with [`RunStats`] bit-identical to the uninterrupted run — no matter
-//! which event-queue backend, segment count or executor width either
-//! side uses, and with or without a fault plan armed. Saving must also
-//! be a semantic no-op on the live simulator (it drains and rebuilds the
-//! event queue in place).
+//! which event-queue backend or executor width either side uses, and
+//! with or without a fault plan armed. Saving must also be a semantic
+//! no-op on the live simulator (it drains and rebuilds the event queue
+//! in place), and the saved bytes themselves are pinned so the SNAP
+//! layout cannot drift unnoticed.
 
 use flexsnoop::{Algorithm, FaultPlan, PartitionWindow, RunStats, Simulator};
-use flexsnoop_engine::snap::SnapError;
+use flexsnoop_engine::snap::{self, SnapError};
 use flexsnoop_engine::{Cycle, Executor, QueueKind};
 use flexsnoop_workload::{profiles, WorkloadProfile};
 
@@ -34,7 +35,7 @@ fn baseline_and_save_point(algorithm: Algorithm) -> (RunStats, Cycle) {
 }
 
 #[test]
-fn resume_matches_uninterrupted_run_across_backends_segments_and_widths() {
+fn resume_matches_uninterrupted_run_across_backends_and_widths() {
     for algorithm in [Algorithm::Lazy, Algorithm::SupersetAgg] {
         let (baseline, save_at) = baseline_and_save_point(algorithm);
 
@@ -51,19 +52,17 @@ fn resume_matches_uninterrupted_run_across_backends_segments_and_widths() {
             "{algorithm}: taking a snapshot perturbed the donor run"
         );
 
-        // Resume the snapshot under every queue backend × segment count,
-        // fanned out over two executor widths (the resumed simulations
-        // are independent, so worker count must not matter either).
+        // Resume the snapshot under every queue backend, fanned out over
+        // two executor widths (the resumed simulations are independent,
+        // so worker count must not matter either).
         let resume_all = |threads: usize| -> Vec<RunStats> {
             let tasks: Vec<_> = [QueueKind::Heap, QueueKind::Bucketed]
                 .into_iter()
-                .flat_map(|kind| [1usize, 4].map(|segments| (kind, segments)))
-                .map(|(kind, segments)| {
+                .map(|kind| {
                     let bytes = snapshot.clone();
                     move || {
                         let mut sim = fresh(algorithm);
                         sim.use_event_queue(kind);
-                        sim.set_segments(segments);
                         sim.restore_snapshot(&bytes).expect("restore");
                         sim.run_until(None);
                         sim.validate_coherence().expect("coherent final state");
@@ -80,6 +79,34 @@ fn resume_matches_uninterrupted_run_across_backends_segments_and_widths() {
                     "{algorithm}: resumed variant {i} diverged at width {threads}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn snapshot_bytes_match_the_pinned_digests() {
+    // FNV-1a digest and length of the sealed stream saved at half the
+    // uninterrupted run. They move if the layout changes (what is saved,
+    // in what order, how it is encoded) or if the simulated state at the
+    // save point does. Either change must re-pin them deliberately, and
+    // a layout change must also bump the SNAP schema version.
+    let golden: [(Algorithm, u64, usize); 2] = [
+        (Algorithm::SupersetAgg, 0x2d20_9ebe_409e_ce6e, 168_134),
+        (Algorithm::Lazy, 0x057a_5ddb_648b_276d, 113_206),
+    ];
+    for (algorithm, digest, len) in golden {
+        let (_, save_at) = baseline_and_save_point(algorithm);
+        for kind in [QueueKind::Heap, QueueKind::Bucketed] {
+            let mut sim = fresh(algorithm);
+            sim.use_event_queue(kind);
+            sim.run_until(Some(save_at));
+            let bytes = sim.save_snapshot();
+            let found = snap::fnv1a(&bytes);
+            assert_eq!(
+                (found, bytes.len()),
+                (digest, len),
+                "{algorithm} on {kind:?}: snapshot bytes changed (digest {found:#018x})"
+            );
         }
     }
 }

@@ -8,9 +8,9 @@
 //! * bridge escalation neither drops nor duplicates snoops: on a
 //!   lossless hierarchical ring every circulation snoops each
 //!   non-requester node exactly once per attempt;
-//! * [`RunStats`] are bit-identical across event-queue backends,
-//!   segment counts and executor widths on hierarchical machines, just
-//!   as they are on flat rings;
+//! * [`RunStats`] are bit-identical across event-queue backends and
+//!   executor widths on hierarchical machines, just as they are on flat
+//!   rings;
 //! * mid-run checkpoints round-trip bit-identically (SNAP v3), and a
 //!   flat snapshot is refused by a hierarchical simulator (and vice
 //!   versa) via the config fingerprint.
@@ -142,19 +142,17 @@ fn bridge_routing_never_drops_or_duplicates_snoops() {
 }
 
 #[test]
-fn run_stats_bit_identical_across_backends_segments_and_widths() {
+fn run_stats_bit_identical_across_backends_and_widths() {
     for (local, groups) in [(2, 4), (4, 4)] {
         let algorithm = Algorithm::SupersetAgg;
         let baseline = hier(algorithm, local, groups).run();
         let run_all = |threads: usize| -> Vec<RunStats> {
             let tasks: Vec<_> = [QueueKind::Heap, QueueKind::Bucketed]
                 .into_iter()
-                .flat_map(|kind| [1usize, 4].map(|segments| (kind, segments)))
-                .map(|(kind, segments)| {
+                .map(|kind| {
                     move || {
                         let mut sim = hier(algorithm, local, groups);
                         sim.use_event_queue(kind);
-                        sim.set_segments(segments);
                         sim.run()
                     }
                 })

@@ -622,9 +622,8 @@ mod tests {
         // still holding the guard on the worker's own (empty) deque — a
         // single `.or_else` chain keeps that temporary alive for the whole
         // statement — so two idle workers stealing from each other could
-        // deadlock AB-BA. Tiny batches on a wide pool (the shape the
-        // conservative ring driver produces every window) hit the race in
-        // a few thousand iterations; with one-lock-at-a-time probing this
+        // deadlock AB-BA. Tiny batches on a wide pool hit the race in a
+        // few thousand iterations; with one-lock-at-a-time probing this
         // loop runs dry every time.
         for round in 0..2_000u64 {
             let n = (round % 3 + 2) as usize;

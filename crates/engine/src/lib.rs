@@ -38,7 +38,6 @@ pub mod fxhash;
 pub mod queue;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod snap;
 pub mod time;
 
@@ -47,7 +46,6 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use queue::{EventQueue, QueueKind};
 pub use resource::Resource;
 pub use rng::SplitMix64;
-pub use shard::{run_conservative, segment_of, Outbox, RingSegment, ShardedScheduler};
 pub use snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 pub use time::{Cycle, Cycles};
 
@@ -232,6 +230,25 @@ mod tests {
         s.schedule_at(Cycle::new(10), "x");
         let _ = s.pop();
         s.schedule_at(Cycle::new(5), "y");
+    }
+
+    #[test]
+    fn restore_clock_fast_forwards() {
+        // Re-inserted events leave the clock at zero; restoring it must
+        // not pop anything, and the pending event keeps its time.
+        let mut s: Scheduler<&str> = Scheduler::new();
+        s.schedule_at(Cycle::new(50), "ev");
+        s.restore_clock(Cycle::new(50));
+        assert_eq!(s.now(), Cycle::new(50));
+        assert_eq!(s.pop(), Some((Cycle::new(50), "ev")));
+    }
+
+    #[test]
+    #[should_panic(expected = "strand a pending event")]
+    fn restore_clock_rejects_stranding() {
+        let mut s: Scheduler<&str> = Scheduler::with_queue(QueueKind::Heap);
+        s.schedule_at(Cycle::new(10), "ev");
+        s.restore_clock(Cycle::new(11));
     }
 
     #[test]

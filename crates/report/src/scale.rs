@@ -8,7 +8,7 @@
 //! from a small shared line pool so later circulations find cache
 //! suppliers, while every other core stays idle. That keeps total work
 //! roughly constant across ring sizes — what scales is the *state*:
-//! per-node caches, link FIFOs, predictor tables and event wheels.
+//! per-node caches, link FIFOs and predictor tables.
 //!
 //! Everything outside the `"volatile"` lines is deterministic for a
 //! fixed option set (same seed-free workload, same machine), matching
@@ -28,7 +28,7 @@ use crate::json::Json;
 use crate::{fnv1a64, Artifact, VolatileContext};
 
 /// The scale-artifact schema identifier; bump when the layout changes.
-pub const SCALE_SCHEMA: &str = "flexsnoop-bench-scale/v1";
+pub const SCALE_SCHEMA: &str = "flexsnoop-bench-scale/v2";
 
 /// Ring sizes the full sweep measures: 1k, 128k (the CI smoke ceiling)
 /// and 1M nodes.
@@ -47,8 +47,6 @@ pub struct ScaleOptions {
     /// Largest ring size to run; [`SCALE_POINTS`] entries above this are
     /// skipped (the CI smoke job caps at 128k).
     pub max_nodes: usize,
-    /// Event-wheel segments per run (clamped to the node count).
-    pub segments: usize,
     /// Total ring events to aim for per run; sets the per-requester
     /// access count so wall time stays roughly flat across ring sizes.
     pub target_events: u64,
@@ -60,7 +58,6 @@ impl Default for ScaleOptions {
     fn default() -> Self {
         ScaleOptions {
             max_nodes: 1 << 20,
-            segments: 4,
             target_events: 2_000_000,
             out_dir: PathBuf::from("results"),
         }
@@ -74,8 +71,6 @@ pub struct ScaleRow {
     pub nodes: usize,
     /// Algorithm name.
     pub algorithm: String,
-    /// Event-wheel segments used.
-    pub segments: usize,
     /// Accesses each requester core issued.
     pub accesses_per_core: u64,
     /// Events dispatched.
@@ -181,8 +176,6 @@ fn run_point(
         accesses,
     )
     .unwrap_or_else(|e| panic!("scale sweep {nodes}x{algorithm}: {e}"));
-    let segments = opts.segments.clamp(1, nodes);
-    sim.set_segments(segments);
     sim.enable_probe();
     let t = Instant::now();
     let stats = sim.run();
@@ -191,7 +184,6 @@ fn run_point(
     ScaleRow {
         nodes,
         algorithm: algorithm.to_string(),
-        segments,
         accesses_per_core: accesses,
         events: stats.events,
         ring_hops: stats.read_ring_hops + stats.write_ring_hops,
@@ -236,7 +228,6 @@ pub fn run_scale(opts: &ScaleOptions) -> ScaleReport {
                     .map(|(a, _)| Json::str(a.to_string())),
             ),
         ),
-        ("segments", Json::from(opts.segments)),
         ("requesters", Json::from(REQUESTERS)),
         ("pool_lines", Json::from(POOL_LINES)),
         ("target_events", Json::from(opts.target_events)),
@@ -255,7 +246,6 @@ pub fn run_scale(opts: &ScaleOptions) -> ScaleReport {
         Json::obj([
             ("nodes", Json::from(r.nodes)),
             ("algorithm", Json::str(r.algorithm.clone())),
-            ("segments", Json::from(r.segments)),
             ("accesses_per_core", Json::from(r.accesses_per_core)),
             ("events", Json::from(r.events)),
             ("ring_hops", Json::from(r.ring_hops)),
@@ -339,7 +329,6 @@ mod tests {
     fn tiny_options() -> ScaleOptions {
         ScaleOptions {
             max_nodes: 1 << 10,
-            segments: 4,
             target_events: 40_000,
             ..ScaleOptions::default()
         }

@@ -273,8 +273,8 @@ fn parse_num(key: &str, value: &str) -> Result<u64, String> {
 /// asked for them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutput {
-    /// The run statistics (bit-identical across queue backends, segment
-    /// counts and executor widths — that is what makes caching sound).
+    /// The run statistics (bit-identical across queue backends and
+    /// executor widths — that is what makes caching sound).
     pub stats: RunStats,
     /// Observability counters, present when the job ran with `probe`.
     pub probe: Option<ProbeReport>,

@@ -5,10 +5,12 @@
 //! histogram, energy account and exact execution cycles — so any drift in
 //! event ordering shows up as a hard failure, not a statistical blip.
 
-use flexsnoop::{run_algorithms, Algorithm, RunStats, Simulator};
+use flexsnoop::{
+    energy_model_for, run_algorithms, Algorithm, MachineConfig, RunStats, Simulator, VecStream,
+};
 use flexsnoop_engine::executor::set_default_threads;
-use flexsnoop_engine::QueueKind;
-use flexsnoop_workload::profiles;
+use flexsnoop_engine::{Cycles, QueueKind};
+use flexsnoop_workload::{profiles, AccessStream, LineAddr, MemAccess};
 
 const SEED: u64 = 20060617;
 
@@ -17,6 +19,49 @@ fn run_with_queue(kind: QueueKind, algorithm: Algorithm, seed: u64) -> RunStats 
     let mut sim = Simulator::for_workload(&workload, algorithm, None, seed).expect("valid config");
     sim.use_event_queue(kind);
     sim.run()
+}
+
+/// A zero-think-time storm over a tiny shared line pool: every core
+/// issues at cycle 0 and keeps issuing back-to-back, so nearly every
+/// cycle carries several same-time events (issues, ring arrivals, snoop
+/// completions) plus same-line collisions. Same-cycle ties are where
+/// the two queue backends could part ways, so the FIFO tie-break is
+/// exercised far harder here than by a calibrated workload.
+fn storm_with_queue(kind: QueueKind, algorithm: Algorithm) -> RunStats {
+    const CORES: usize = 8;
+    const ACCESSES: usize = 40;
+    let streams: Vec<Box<dyn AccessStream + Send>> = (0..CORES)
+        .map(|c| {
+            let accesses = (0..ACCESSES)
+                .map(|i| {
+                    // Five hot lines shared by all eight nodes; a third of
+                    // the accesses are writes, forcing invalidations.
+                    let line = LineAddr(((c + i) % 5) as u64);
+                    if (c + i) % 3 == 0 {
+                        MemAccess::write(line, Cycles(0))
+                    } else {
+                        MemAccess::read(line, Cycles(0))
+                    }
+                })
+                .collect();
+            Box::new(VecStream::new(accesses)) as Box<dyn AccessStream + Send>
+        })
+        .collect();
+    let predictor = algorithm.default_predictor();
+    let energy = energy_model_for(&predictor);
+    let mut sim = Simulator::new(
+        MachineConfig::scale(CORES),
+        algorithm,
+        predictor,
+        energy,
+        streams,
+        ACCESSES as u64,
+    )
+    .expect("storm machine configures");
+    sim.use_event_queue(kind);
+    let stats = sim.run();
+    sim.validate_coherence().expect("coherent final state");
+    stats
 }
 
 #[test]
@@ -29,6 +74,19 @@ fn heap_and_bucketed_queues_give_identical_stats() {
         let bucketed = run_with_queue(QueueKind::Bucketed, algorithm, SEED);
         assert_eq!(heap, bucketed, "{algorithm}: queue kind changed results");
         assert!(heap.events > 0, "{algorithm}: no events dispatched");
+    }
+    for algorithm in [Algorithm::Lazy, Algorithm::SupersetAgg] {
+        let heap = storm_with_queue(QueueKind::Heap, algorithm);
+        assert!(heap.read_txns > 0, "{algorithm}: the storm issued no reads");
+        assert!(
+            heap.collisions > 0,
+            "{algorithm}: the storm failed to produce same-line collisions"
+        );
+        let bucketed = storm_with_queue(QueueKind::Bucketed, algorithm);
+        assert_eq!(
+            heap, bucketed,
+            "{algorithm}: queue kind changed storm results"
+        );
     }
 }
 

@@ -1,6 +1,7 @@
 //! Microbenchmarks for the million-node scaling substrate: event-queue
-//! push/pop throughput per `QueueKind` and struct-of-arrays node-state
-//! access (the flat predictor bank and a full tiny-cache scale machine).
+//! push/pop throughput per `QueueKind`, unbounded and through the bounded
+//! run loop's `pop_before`, and struct-of-arrays node-state access (the
+//! flat predictor bank and a full tiny-cache scale machine).
 //!
 //! Macro numbers (events/sec, bytes/node at 1k/128k/1M nodes) come from
 //! `flexsnoop bench --scale`; these benches isolate the data structures
@@ -8,7 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexsnoop::{energy_model_for, Algorithm, MachineConfig, Simulator, VecStream};
-use flexsnoop_engine::{Cycles, QueueKind, Scheduler, SplitMix64};
+use flexsnoop_engine::{Cycle, Cycles, QueueKind, Scheduler, SplitMix64};
 use flexsnoop_predictor::PredictorSpec;
 use flexsnoop_workload::{AccessStream, LineAddr, MemAccess};
 
@@ -32,6 +33,49 @@ fn scheduler_push_pop(kind: QueueKind) -> u64 {
         let (_, ev) = sched.pop().expect("the hold model never drains");
         sum = sum.wrapping_add(ev);
         sched.schedule_in(Cycles(1 + rng.next_u64() % 256), ev);
+    }
+    sum
+}
+
+/// Far-wheel entries kept pending in the bounded-pop bench: about one
+/// recovery timeout per in-flight transaction on a lossy 64-node
+/// hierarchy.
+const TIMEOUTS: u64 = 150;
+
+/// Simulated cycles per `pop_before` slice, as in a sliced lossy run.
+const SLICE: Cycles = Cycles(150_000);
+
+/// The hold model popped through [`Scheduler::pop_before`], the bounded
+/// run loop's queue call, with `TIMEOUTS` extra events re-armed 7–9k
+/// cycles out whenever one pops: the window recovery timeouts take on
+/// the lossy 64-node hierarchy. They sit in the bucketed queue's far
+/// wheel while hops churn the near one.
+fn scheduler_bounded_pop(kind: QueueKind) -> u64 {
+    let mut sched: Scheduler<u64> = Scheduler::with_queue(kind);
+    let mut rng = SplitMix64::new(0xFEED);
+    let timeout = |rng: &mut SplitMix64| Cycles(7_000 + rng.next_u64() % 2_000);
+    for i in 0..PENDING {
+        sched.schedule_in(Cycles(rng.next_u64() % 256), i);
+    }
+    for i in PENDING..PENDING + TIMEOUTS {
+        sched.schedule_in(timeout(&mut rng), i);
+    }
+    let mut stop = Cycle::ZERO + SLICE;
+    let mut sum = 0u64;
+    let mut popped = 0;
+    while popped < EVENTS {
+        let Some((_, ev)) = sched.pop_before(stop) else {
+            stop += SLICE;
+            continue;
+        };
+        popped += 1;
+        sum = sum.wrapping_add(ev);
+        let delay = if ev < PENDING {
+            Cycles(1 + rng.next_u64() % 256)
+        } else {
+            timeout(&mut rng)
+        };
+        sched.schedule_in(delay, ev);
     }
     sum
 }
@@ -87,6 +131,9 @@ fn bench(c: &mut Criterion) {
     for (kind, name) in [(QueueKind::Heap, "heap"), (QueueKind::Bucketed, "bucketed")] {
         group.bench_function(format!("scheduler_push_pop_{name}"), |b| {
             b.iter(|| black_box(scheduler_push_pop(kind)))
+        });
+        group.bench_function(format!("scheduler_bounded_pop_{name}"), |b| {
+            b.iter(|| black_box(scheduler_bounded_pop(kind)))
         });
     }
     group.bench_function("soa_subset_bank_100k_nodes", |b| {

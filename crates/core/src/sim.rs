@@ -1124,13 +1124,11 @@ impl Simulator {
             }
         }
         loop {
-            if let Some(stop) = stop_at {
-                match self.sched.peek_time() {
-                    Some(t) if t < stop => {}
-                    _ => break,
-                }
-            }
-            let Some((now, ev)) = self.sched.pop() else {
+            let next = match stop_at {
+                Some(stop) => self.sched.pop_before(stop),
+                None => self.sched.pop(),
+            };
+            let Some((now, ev)) = next else {
                 break;
             };
             self.stats.events += 1;

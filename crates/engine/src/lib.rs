@@ -166,6 +166,27 @@ impl<E> Scheduler<E> {
         Some((t, e))
     }
 
+    /// Pops the next event if it is due before `stop`, advancing the clock
+    /// to its timestamp; otherwise returns `None` and changes nothing.
+    ///
+    /// This is the bounded run loop's one queue search per event. Calling
+    /// [`peek_time`](Self::peek_time) and then [`pop`](Self::pop) searches
+    /// twice, and on the bucketed queue the peek may scan a whole far-wheel
+    /// bucket. A declined pop leaves the clock, the pending events and the
+    /// floor for later pushes as they were, so `schedule_at(now())` stays
+    /// legal after it.
+    #[inline]
+    pub fn pop_before(&mut self, stop: Cycle) -> Option<(Cycle, E)> {
+        let (t, e) = match &mut self.queue {
+            AnyQueue::Heap(q) => q.pop_before(stop)?,
+            AnyQueue::Bucketed(q) => q.pop_before(stop)?,
+        };
+        debug_assert!(t >= self.now, "event queue returned a past event");
+        debug_assert!(t < stop, "pop_before returned an event at or past its stop");
+        self.now = t;
+        Some((t, e))
+    }
+
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
         match &self.queue {
@@ -249,6 +270,61 @@ mod tests {
         let mut s: Scheduler<&str> = Scheduler::with_queue(QueueKind::Heap);
         s.schedule_at(Cycle::new(10), "ev");
         s.restore_clock(Cycle::new(11));
+    }
+
+    /// A declined `pop_before` is invisible: the pending count, the next
+    /// time, the clock and the order of every later pop are what they
+    /// would have been without it, on both backends, with the near wheel
+    /// holding events and with only far-wheel and overflow events left.
+    #[test]
+    fn declined_pop_before_changes_nothing() {
+        let times = [3u64, 3, 40, 9_000, 9_000, 12_345, 30_000_000];
+        for kind in [QueueKind::Heap, QueueKind::Bucketed] {
+            let fill = || {
+                let mut s = Scheduler::with_queue(kind);
+                for (i, &t) in times.iter().enumerate() {
+                    s.schedule_at(Cycle::new(t), i);
+                }
+                s
+            };
+            let mut plain = fill();
+            let expected: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
+            let mut probed = fill();
+            let mut order = Vec::new();
+            while let Some(next) = probed.peek_time() {
+                let before = (probed.len(), probed.peek_time(), probed.now());
+                assert_eq!(probed.pop_before(next), None, "{kind:?}");
+                assert_eq!(probed.pop_before(probed.now()), None, "{kind:?}");
+                assert_eq!(
+                    (probed.len(), probed.peek_time(), probed.now()),
+                    before,
+                    "{kind:?}: a declined pop changed the scheduler"
+                );
+                order.push(probed.pop().expect("an event is pending"));
+            }
+            assert_eq!(order, expected, "{kind:?}");
+        }
+    }
+
+    /// The cursor contract: a declined `pop_before` must not move the
+    /// bucketed wheel's push floor past the clock (cascading the far
+    /// wheel would move it to the far bucket's start), so an event
+    /// scheduled at `now()` right after is accepted and pops first.
+    #[test]
+    fn schedule_at_now_after_declined_pop() {
+        for kind in [QueueKind::Heap, QueueKind::Bucketed] {
+            let mut s = Scheduler::with_queue(kind);
+            s.schedule_at(Cycle::new(10), "first");
+            s.schedule_at(Cycle::new(9_000), "timeout");
+            let first = s.pop_before(Cycle::new(11));
+            assert_eq!(first, Some((Cycle::new(10), "first")));
+            // Only the far-wheel timeout is left: the near wheel is empty.
+            assert_eq!(s.pop_before(Cycle::new(5_000)), None);
+            assert_eq!(s.now(), Cycle::new(10));
+            s.schedule_at(s.now(), "now");
+            assert_eq!(s.pop(), Some((Cycle::new(10), "now")));
+            assert_eq!(s.pop(), Some((Cycle::new(9_000), "timeout")));
+        }
     }
 
     #[test]

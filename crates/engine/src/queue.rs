@@ -4,10 +4,11 @@
 //!
 //! * [`EventQueue`] — a binary heap; O(log n) everywhere, no assumptions
 //!   about the time distribution.
-//! * [`BucketQueue`] — a timing wheel for the near-monotonic schedules a
-//!   discrete-event simulator produces (almost every event lands within a
-//!   few hundred cycles of "now"); O(1) push/pop for in-horizon events,
-//!   with a heap fallback for far-future ones.
+//! * [`BucketQueue`] — a near and a far timing wheel for the
+//!   near-monotonic schedules a discrete-event simulator produces (almost
+//!   every event lands within a few hundred cycles of "now"); O(1)
+//!   push/pop for in-horizon events, with a heap fallback for far-future
+//!   ones.
 //!
 //! Both order events by `(time, insertion sequence)`, so simulations are
 //! bit-for-bit reproducible whichever queue backs the [`crate::Scheduler`]
@@ -108,6 +109,15 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
+    }
+
+    /// Removes and returns the earliest event if it is due before `stop`;
+    /// otherwise leaves the queue untouched and returns `None`.
+    pub fn pop_before(&mut self, stop: Cycle) -> Option<(Cycle, E)> {
+        if self.heap.peek()?.time >= stop {
+            return None;
+        }
+        self.pop()
     }
 
     /// Timestamp of the earliest pending event.
@@ -291,37 +301,44 @@ impl<E> BucketQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest event (FIFO within a timestamp).
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        if self.in_near == 0 {
-            self.cascade();
-        }
+    /// The earliest entry of the near wheel and the overflow heap: its
+    /// time, and whether it sits in the near wheel. An overflow entry wins
+    /// when it is earlier — or equal-time with a smaller sequence number
+    /// (an overflow push predates, hence out-ranks, any same-time wheel
+    /// push, because the far horizon only moves forward between them;
+    /// compared by (time, seq) for strict equivalence with EventQueue).
+    /// This is the global minimum whenever the near wheel is non-empty,
+    /// since every far entry lies at or past `far_start`.
+    #[inline]
+    fn head(&self) -> Option<(u64, bool)> {
         let near_t = self.earliest_near_time();
-        // Take the near entry unless the overflow heap holds something
-        // earlier — or equal-time with a smaller sequence number (an
-        // overflow push predates, hence out-ranks, any same-time wheel
-        // push, because the far horizon only moves forward between them;
-        // compared by (time, seq) for strict equivalence with EventQueue).
-        let from_wheel = match (near_t, self.overflow.peek()) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
+        match (near_t, self.overflow.peek()) {
+            (None, None) => None,
+            (Some(t), None) => Some((t, true)),
+            (None, Some(top)) => Some((top.time.as_u64(), false)),
             (Some(wt), Some(top)) => {
                 let wseq = self.near[Self::near_index(wt)][0].0;
-                (wt, wseq) < (top.time.as_u64(), top.seq)
+                if (wt, wseq) < (top.time.as_u64(), top.seq) {
+                    Some((wt, true))
+                } else {
+                    Some((top.time.as_u64(), false))
+                }
             }
-        };
+        }
+    }
+
+    /// Removes the entry [`head`](Self::head) found at time `t`.
+    #[inline]
+    fn take(&mut self, t: u64, from_wheel: bool) -> (Cycle, E) {
         if from_wheel {
-            let t = near_t.expect("near entry present");
             let (_, event) = self.near[Self::near_index(t)]
                 .pop_front()
                 .expect("bucket non-empty");
             self.in_near -= 1;
             self.cursor = t;
-            Some((Cycle::new(t), event))
+            (Cycle::new(t), event)
         } else {
             let e = self.overflow.pop().expect("overflow entry present");
-            let t = e.time.as_u64();
             // The popped time is the global minimum, so it is still a
             // valid lower bound for every wheel entry.
             self.cursor = t;
@@ -331,13 +348,45 @@ impl<E> BucketQueue<E> {
                 // instead of raining into the heap.
                 self.far_start = (t / WHEEL + 1) * WHEEL;
             }
-            Some((e.time, e.event))
+            (e.time, e.event)
         }
     }
 
-    /// Minimum `(time, seq)` pending in the far wheel (scans the first
-    /// non-empty bucket; far entries within a bucket are unsorted).
-    fn earliest_far(&self) -> Option<(u64, u64)> {
+    /// Removes and returns the earliest event (FIFO within a timestamp).
+    pub fn pop(&mut self) -> Option<(Cycle, E)> {
+        if self.in_near == 0 {
+            self.cascade();
+        }
+        let (t, from_wheel) = self.head()?;
+        Some(self.take(t, from_wheel))
+    }
+
+    /// Removes and returns the earliest event if it is due before `stop`;
+    /// otherwise leaves the queue untouched and returns `None`.
+    ///
+    /// While the near wheel is non-empty, one search decides: its head
+    /// against the overflow top, never reading the far wheel. With the
+    /// near wheel empty the decision comes before any cascade, so a
+    /// declined pop does not move the cursor — the floor for later
+    /// pushes stays at the last popped time.
+    #[inline]
+    pub fn pop_before(&mut self, stop: Cycle) -> Option<(Cycle, E)> {
+        if self.in_near == 0 {
+            if self.peek_time()? >= stop {
+                return None;
+            }
+            return self.pop();
+        }
+        let (t, from_wheel) = self.head()?;
+        if t >= stop.as_u64() {
+            return None;
+        }
+        Some(self.take(t, from_wheel))
+    }
+
+    /// Earliest time pending in the far wheel (scans the first non-empty
+    /// bucket; far entries within a bucket are unsorted).
+    fn earliest_far(&self) -> Option<u64> {
         if self.in_far == 0 {
             return None;
         }
@@ -345,23 +394,20 @@ impl<E> BucketQueue<E> {
         loop {
             let bucket = &self.far[Self::far_index(start)];
             if !bucket.is_empty() {
-                return bucket.iter().map(|&(t, seq, _)| (t, seq)).min();
+                return bucket.iter().map(|&(t, _, _)| t).min();
             }
             start += WHEEL;
             debug_assert!(start < self.far_start + FAR_SPAN, "far count out of sync");
         }
     }
 
-    /// Timestamp of the earliest pending event.
+    /// Timestamp of the earliest pending event. Near entries precede
+    /// every far entry, so the far wheel is scanned only when the near
+    /// wheel is empty.
     pub fn peek_time(&self) -> Option<Cycle> {
-        let near = self.earliest_near_time();
-        let far = self.earliest_far().map(|(t, _)| t);
+        let wheel = self.earliest_near_time().or_else(|| self.earliest_far());
         let heap = self.overflow.peek().map(|e| e.time.as_u64());
-        [near, far, heap]
-            .into_iter()
-            .flatten()
-            .min()
-            .map(Cycle::new)
+        wheel.into_iter().chain(heap).min().map(Cycle::new)
     }
 
     /// Number of pending events.
@@ -665,6 +711,68 @@ mod tests {
         }
         assert_eq!(heap.pop(), None);
         assert_eq!(wheel.pop(), None);
+    }
+
+    /// `pop_before` on the wheel must agree call for call with the heap's
+    /// on random schedules spanning the near-wheel, far-wheel and
+    /// overflow-heap horizons, with stops before, exactly on and one cycle
+    /// past the next pending event. A declined call leaves both queues'
+    /// lengths and next times equal.
+    #[test]
+    fn bucket_pop_before_matches_heap() {
+        for seed in 0..16u64 {
+            let mut rng = crate::SplitMix64::new(0xb0_07ed ^ seed);
+            let mut heap = EventQueue::new();
+            let mut wheel = BucketQueue::new();
+            let mut now = 0u64;
+            let mut step = 0u64;
+            loop {
+                if step < 5_000 {
+                    // Hops and snoops, delays one to two far buckets out
+                    // (where recovery timeouts land), and delays
+                    // straddling the far horizon, so that overflow
+                    // entries later meet near-wheel entries of the same
+                    // bucket. Odd seeds push few short delays, so the
+                    // clock sweeps past the far horizon while pushes
+                    // continue.
+                    let short = if seed % 2 == 0 { 6 } else { 2 };
+                    let delay = match rng.next_below(12) {
+                        0 => 0,
+                        k if k < short => rng.next_below(300),
+                        6 | 7 => WHEEL + rng.next_below(WHEEL),
+                        8 => rng.next_below(FAR_SPAN),
+                        9 => FAR_SPAN - rng.next_below(2 * WHEEL),
+                        10 => FAR_SPAN + rng.next_below(2 * WHEEL),
+                        _ => FAR_SPAN + rng.next_below(FAR_SPAN),
+                    };
+                    heap.push(Cycle::new(now + delay), step);
+                    wheel.push(Cycle::new(now + delay), step);
+                } else if heap.is_empty() {
+                    break;
+                }
+                step += 1;
+                if step < 5_000 && rng.next_below(3) == 0 {
+                    continue;
+                }
+                let next = heap.peek_time().map_or(now, Cycle::as_u64);
+                let stop = match rng.next_below(5) {
+                    0 => now,
+                    1 => next,
+                    2 | 3 => next + 1,
+                    _ => now + rng.next_below(2 * WHEEL),
+                };
+                let a = heap.pop_before(Cycle::new(stop));
+                let b = wheel.pop_before(Cycle::new(stop));
+                assert_eq!(a, b, "seed {seed}, step {step}, stop {stop}");
+                assert_eq!(heap.len(), wheel.len(), "seed {seed}, step {step}");
+                assert_eq!(heap.peek_time(), wheel.peek_time(), "seed {seed}");
+                if let Some((t, _)) = a {
+                    assert!(t.as_u64() < stop, "popped at {t}, stop {stop}");
+                    now = t.as_u64();
+                }
+            }
+            assert_eq!(wheel.pop(), None);
+        }
     }
 
     /// The two queues must pop identically on a randomized near-monotonic

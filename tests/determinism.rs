@@ -1,15 +1,17 @@
 //! Determinism regression tests: the performance machinery (bucketed
-//! event queue, bounded executor) must never change simulation results.
+//! event queue, bounded run slices, bounded executor) must never change
+//! simulation results.
 //!
 //! Every test compares complete [`RunStats`] values — counters, latency
 //! histogram, energy account and exact execution cycles — so any drift in
 //! event ordering shows up as a hard failure, not a statistical blip.
 
 use flexsnoop::{
-    energy_model_for, run_algorithms, Algorithm, MachineConfig, RunStats, Simulator, VecStream,
+    energy_model_for, run_algorithms, Algorithm, FaultPlan, MachineConfig, RunStats, Simulator,
+    VecStream,
 };
 use flexsnoop_engine::executor::set_default_threads;
-use flexsnoop_engine::{Cycles, QueueKind};
+use flexsnoop_engine::{Cycle, Cycles, QueueKind, SplitMix64};
 use flexsnoop_workload::{profiles, AccessStream, LineAddr, MemAccess};
 
 const SEED: u64 = 20060617;
@@ -86,6 +88,81 @@ fn heap_and_bucketed_queues_give_identical_stats() {
         assert_eq!(
             heap, bucketed,
             "{algorithm}: queue kind changed storm results"
+        );
+    }
+}
+
+/// A 16-node hierarchy (four local rings of four) whose bridge
+/// crossings drop: every in-flight transaction parks a recovery timeout
+/// thousands of cycles out, in the bucketed queue's far wheel, while
+/// ring hops and snoops fill the near wheel.
+fn lossy_hier(kind: QueueKind) -> Simulator {
+    let profile = profiles::consolidated()
+        .with_cores(16)
+        .with_cluster(4)
+        .with_accesses(150);
+    let mut sim = Simulator::for_workload_hier(&profile, Algorithm::Subset, None, SEED, 4, 4)
+        .expect("hier workload configures");
+    let mut plan = FaultPlan::lossless();
+    plan.seed = SEED;
+    plan.bridge_drop = 0.02;
+    plan.bridge_budget = u64::MAX;
+    sim.set_fault_plan(plan);
+    sim.use_event_queue(kind);
+    sim
+}
+
+#[test]
+fn bounded_slices_match_a_whole_run_on_a_lossy_hierarchy() {
+    // Cutting a run into `run_until(Some(..))` slices must dispatch the
+    // same events as one `run()`, whichever queue backs it, and no slice
+    // may run past its stop.
+    for kind in [QueueKind::Heap, QueueKind::Bucketed] {
+        let whole = lossy_hier(kind).run();
+        assert!(
+            whole.robustness.timeouts > 0,
+            "{kind:?}: no recovery timeout fired"
+        );
+
+        // Random slice lengths. A slice that moved the clock dispatched
+        // an event at the cycle it returns, so those cycles are known
+        // event cycles for the second pass.
+        let mut sim = lossy_hier(kind);
+        let mut rng = SplitMix64::new(SEED);
+        let mut stop = Cycle::ZERO;
+        let mut last = Cycle::ZERO;
+        let mut event_cycles = Vec::new();
+        loop {
+            let reached = sim.run_until(Some(stop));
+            assert!(reached <= stop, "{kind:?}: reached {reached} past {stop}");
+            if reached > last {
+                event_cycles.push(reached);
+                last = reached;
+            }
+            if sim.pending_events() == 0 {
+                break;
+            }
+            stop += Cycles(1 + rng.next_below(3_000));
+        }
+        assert!(event_cycles.len() > 50, "{kind:?}: too few slices");
+        assert_eq!(sim.finalize(), whole, "{kind:?}: random slices diverged");
+
+        // Stops before the first event, exactly on each known event
+        // cycle (its events must wait), and one cycle past it (they, and
+        // nothing later, must run).
+        let mut sim = lossy_hier(kind);
+        assert_eq!(sim.run_until(Some(Cycle::ZERO)), Cycle::ZERO);
+        for &at in &event_cycles {
+            let reached = sim.run_until(Some(at));
+            assert!(reached < at, "{kind:?}: stop {at} dispatched its own cycle");
+            let reached = sim.run_until(Some(at + Cycles(1)));
+            assert_eq!(reached, at, "{kind:?}: stop one past {at}");
+        }
+        sim.run_until(None);
+        assert_eq!(
+            sim.finalize(),
+            whole,
+            "{kind:?}: event-cycle stops diverged"
         );
     }
 }

@@ -303,7 +303,7 @@ fn rewind_walkthrough(
         "first divergent transaction (rewound to cycle {rewind_to} via checkpoint, \
          violation at cycle {}):\n{}",
         v.at,
-        replay.timeline().render(v.txn)
+        replay.timeline()?.render(v.txn)
     ))
 }
 

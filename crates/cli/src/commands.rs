@@ -329,9 +329,10 @@ pub fn timeline(args: &Args) -> Result<String, String> {
     let mut sim = build_sim(args, algorithm)?;
     sim.enable_timeline(args.transactions);
     sim.run();
+    let timeline = sim.timeline().expect("timeline installed");
     let mut out = String::new();
-    for txn in sim.timeline().transactions().collect::<Vec<_>>() {
-        out.push_str(&sim.timeline().render(txn));
+    for txn in timeline.transactions() {
+        out.push_str(&timeline.render(txn));
         out.push('\n');
     }
     if out.is_empty() {

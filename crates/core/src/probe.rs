@@ -1,20 +1,29 @@
-//! Run-level observability probes.
+//! The simulator's one observation channel.
 //!
-//! A [`Probe`] is a sink for fine-grained events the simulators emit while
-//! running: which Table 2 primitive each node picked, presence-filter
-//! outcomes on writes, predictor activity, per-hop ring latency, and event
-//! queue depth. Every hook has a no-op default, so a probe implementation
-//! only pays for what it observes, and a simulator with no probe installed
-//! pays a single branch per hook site.
+//! [`RunStats`](crate::RunStats) is the deterministic result of a run. A
+//! [`Probe`] is the optional sink for everything else the simulator emits
+//! while running: which Table 2 primitive each node picked,
+//! presence-filter outcomes on writes, predictor and locality activity,
+//! per-hop ring and bridge latency, event queue depth, and every step of
+//! each transaction ([`Probe::txn_event`]). Every hook has a no-op
+//! default, so a sink only pays for what it observes, and a simulator with
+//! no probe installed pays a single branch per hook site.
 //!
-//! [`CountingProbe`] is the built-in implementation: it aggregates every
-//! hook into a [`ProbeReport`] that the CLI's `--probe` flag surfaces in
-//! the JSON benchmark artifacts.
+//! Sinks, one installed at a time:
+//!
+//! * [`CountingProbe`] aggregates the hooks into a [`ProbeReport`] that the
+//!   CLI's `--probe` flag surfaces in the JSON benchmark artifacts. It
+//!   counts only what `RunStats` does not.
+//! * [`Timeline`](crate::Timeline) records the per-transaction
+//!   walkthroughs of `flexsnoop timeline`.
+//!
+//! [`Simulator::probe`](crate::Simulator::probe) reads the installed sink
+//! back by type.
 //!
 //! # Example
 //!
 //! ```
-//! use flexsnoop::{Algorithm, Simulator};
+//! use flexsnoop::{Algorithm, CountingProbe, Simulator};
 //! use flexsnoop_workload::profiles;
 //!
 //! # fn main() -> Result<(), String> {
@@ -22,28 +31,33 @@
 //! let mut sim = Simulator::for_workload(&workload, Algorithm::SupersetCon, None, 7)?;
 //! sim.enable_probe();
 //! let stats = sim.run();
-//! let report = sim.probe_report().expect("probe was enabled");
-//! // Every dispatched event was observed.
-//! assert_eq!(report.events, stats.events);
-//! // SupersetCon consults its predictor at every open read request.
+//! let report = sim.probe::<CountingProbe>().expect("probe was enabled").snapshot();
+//! // SupersetCon consults its predictor at every open read request, and
+//! // the probe saw each lookup the accuracy tallies scored.
 //! assert!(report.predictor_lookups > 0);
+//! assert_eq!(report.predictor_lookups, stats.accuracy.total());
 //! # Ok(())
 //! # }
 //! ```
 
+use std::any::Any;
+
 use flexsnoop_engine::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use flexsnoop_engine::Cycles;
+use flexsnoop_engine::{Cycle, Cycles};
 use flexsnoop_metrics::Histogram;
-use flexsnoop_net::RingFault;
 
 use crate::algorithm::SnoopAction;
+use crate::message::TxnId;
+use crate::timeline::TxnEvent;
 
 /// A sink for run-level observability events.
 ///
 /// All methods have no-op defaults; implement only the hooks you care
-/// about. The simulators call these from their hot paths, so
-/// implementations should be cheap — counters, not I/O.
-pub trait Probe: Send {
+/// about. The simulator calls these from its hot paths, so
+/// implementations should be cheap — counters, not I/O. The `Any`
+/// supertrait lets [`Simulator::probe`](crate::Simulator::probe) hand the
+/// installed sink back as its concrete type.
+pub trait Probe: Any + Send {
     /// An open read request-carrier arrived at a node and the algorithm
     /// chose `action` (one of the Table 2 primitives).
     fn snoop_action(&mut self, action: SnoopAction) {
@@ -82,42 +96,11 @@ pub trait Probe: Send {
         let _ = queue_depth;
     }
 
-    /// The fault plan perturbed one link crossing (drop, duplicate or
-    /// delay). Only fired on an unreliable ring.
-    fn ring_fault(&mut self, fault: RingFault) {
-        let _ = fault;
-    }
-
-    /// A delivery was discarded by sequence-number dedup: `stale` is
-    /// true when it belonged to a superseded retry attempt, false when
-    /// it was a duplicate of an already-processed message.
-    fn delivery_suppressed(&mut self, stale: bool) {
-        let _ = stale;
-    }
-
-    /// A requester-side timeout fired and found its transaction's ring
-    /// phase still unresolved; `attempt` is the attempt that timed out
-    /// (0 = the original issue).
-    fn timeout_fired(&mut self, attempt: u32) {
-        let _ = attempt;
-    }
-
     /// A transaction was re-issued on the ring after a timeout;
     /// `attempt` is the new attempt number (1 = first retry).
     fn retry_issued(&mut self, attempt: u32) {
         let _ = attempt;
     }
-
-    /// A line entered degraded (Lazy-forwarding) mode after a
-    /// transaction exhausted its retry cap.
-    fn degraded_mode_entered(&mut self) {}
-
-    /// A degraded line completed its probation window of clean
-    /// circulations and re-armed the configured Table 3 algorithm.
-    fn probation_exited(&mut self) {}
-
-    /// A timeout on a degraded line reset its probation counter.
-    fn probation_reset(&mut self) {}
 
     /// A stale reply from a superseded attempt reached the requester:
     /// the retried circulation had actually completed, so the retry was
@@ -130,9 +113,6 @@ pub trait Probe: Send {
     fn rtt_sampled(&mut self, rtt: Cycles, estimate: Cycles) {
         let _ = (rtt, estimate);
     }
-
-    /// The fault plan dropped one torus data message.
-    fn torus_fault(&mut self) {}
 
     /// A per-group locality table was consulted for an open read on a
     /// hierarchical topology; `local` is its answer (true = circulate
@@ -161,20 +141,20 @@ pub trait Probe: Send {
         let _ = (bytes_per_node, total_bytes, peak_rss_bytes);
     }
 
-    /// The aggregated report, if this probe produces one.
-    ///
-    /// The default returns `None`; [`CountingProbe`] overrides it. This
-    /// lets [`Simulator::probe_report`](crate::Simulator::probe_report)
-    /// work through the trait object without downcasting.
-    fn report(&self) -> Option<ProbeReport> {
-        None
+    /// One step in the life of ring transaction `txn` at cycle `at`:
+    /// issue, gateway arrivals, predictions, snoops, forwarding, data
+    /// movement, faults, timeouts, retries, escalation, completion.
+    fn txn_event(&mut self, txn: TxnId, at: Cycle, event: TxnEvent) {
+        let _ = (txn, at, event);
     }
 }
 
 /// Aggregated observability counters from one simulation run.
 ///
 /// Produced by [`CountingProbe`]; serialized into the `probe` section of
-/// the JSON benchmark artifacts when the CLI runs with `--probe`.
+/// the JSON benchmark artifacts when the CLI runs with `--probe`. Every
+/// field is something [`RunStats`](crate::RunStats) does not hold: event,
+/// fault, recovery and escalation counts live there only.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProbeReport {
     /// Read requests passed through without snooping (`forward`).
@@ -196,40 +176,13 @@ pub struct ProbeReport {
     pub predictor_positive: u64,
     /// Predictor training operations across all nodes.
     pub predictor_trains: u64,
-    /// Events dispatched by the scheduler.
-    pub events: u64,
     /// Highest pending-event count observed after any dispatch.
     pub queue_depth_high_water: usize,
     /// Leave-to-arrival latency of every ring hop, in cycles.
     pub ring_hop_latency: Histogram,
-    /// Ring messages dropped by the fault plan.
-    pub ring_drops: u64,
-    /// Ring messages duplicated by the fault plan.
-    pub ring_duplicates: u64,
-    /// Ring messages delayed by the fault plan.
-    pub ring_delays: u64,
-    /// Duplicate deliveries suppressed by sequence-number dedup.
-    pub duplicates_suppressed: u64,
-    /// Deliveries discarded for belonging to a superseded attempt.
-    pub stale_deliveries: u64,
-    /// Requester-side timeouts that fired.
-    pub timeouts: u64,
-    /// Transaction retries issued.
-    pub retries: u64,
-    /// Lines that entered degraded (Lazy-forwarding) mode.
-    pub degraded_entries: u64,
-    /// Degraded lines that re-armed their algorithm after probation.
-    pub probation_exits: u64,
-    /// Probation counters reset by a timeout on the line.
-    pub probation_resets: u64,
-    /// Retries proven unnecessary by a late-arriving stale reply.
-    pub spurious_retries: u64,
-    /// Ring round trips fed to the adaptive timeout estimator.
-    pub rtt_samples: u64,
-    /// Timeout-estimate values after each sample, in cycles.
+    /// Timeout-estimate values after each ring round trip fed to the
+    /// adaptive timeout estimator, in cycles.
     pub timeout_estimate: Histogram,
-    /// Torus data messages dropped by the fault plan.
-    pub torus_drops: u64,
     /// Estimated simulator heap bytes per ring node (deterministic for a
     /// fixed configuration and workload).
     pub bytes_per_node: u64,
@@ -243,10 +196,6 @@ pub struct ProbeReport {
     pub locality_lookups: u64,
     /// Consultations that predicted an in-ring supplier.
     pub locality_local: u64,
-    /// Local circulations escalated to global after missing in-ring.
-    pub escalations: u64,
-    /// Bridge-link crossings on the global ring.
-    pub bridge_hops: u64,
     /// Leave-to-arrival latency of every bridge hop, in cycles.
     pub bridge_hop_latency: Histogram,
 }
@@ -330,59 +279,13 @@ impl Probe for CountingProbe {
     }
 
     fn event_dispatched(&mut self, queue_depth: usize) {
-        self.report.events += 1;
         if queue_depth > self.report.queue_depth_high_water {
             self.report.queue_depth_high_water = queue_depth;
         }
     }
 
-    fn ring_fault(&mut self, fault: RingFault) {
-        match fault {
-            RingFault::Dropped => self.report.ring_drops += 1,
-            RingFault::Duplicated => self.report.ring_duplicates += 1,
-            RingFault::Delayed(_) => self.report.ring_delays += 1,
-        }
-    }
-
-    fn delivery_suppressed(&mut self, stale: bool) {
-        if stale {
-            self.report.stale_deliveries += 1;
-        } else {
-            self.report.duplicates_suppressed += 1;
-        }
-    }
-
-    fn timeout_fired(&mut self, _attempt: u32) {
-        self.report.timeouts += 1;
-    }
-
-    fn retry_issued(&mut self, _attempt: u32) {
-        self.report.retries += 1;
-    }
-
-    fn degraded_mode_entered(&mut self) {
-        self.report.degraded_entries += 1;
-    }
-
-    fn probation_exited(&mut self) {
-        self.report.probation_exits += 1;
-    }
-
-    fn probation_reset(&mut self) {
-        self.report.probation_resets += 1;
-    }
-
-    fn spurious_retry(&mut self) {
-        self.report.spurious_retries += 1;
-    }
-
     fn rtt_sampled(&mut self, _rtt: Cycles, estimate: Cycles) {
-        self.report.rtt_samples += 1;
         self.report.timeout_estimate.record(estimate.0);
-    }
-
-    fn torus_fault(&mut self) {
-        self.report.torus_drops += 1;
     }
 
     fn locality_lookup(&mut self, local: bool) {
@@ -392,12 +295,7 @@ impl Probe for CountingProbe {
         }
     }
 
-    fn escalation(&mut self) {
-        self.report.escalations += 1;
-    }
-
     fn bridge_hop(&mut self, latency: Cycles) {
-        self.report.bridge_hops += 1;
         self.report.bridge_hop_latency.record(latency.0);
     }
 
@@ -405,10 +303,6 @@ impl Probe for CountingProbe {
         self.report.bytes_per_node = bytes_per_node;
         self.report.footprint_total_bytes = total_bytes;
         self.report.peak_rss_bytes = peak_rss_bytes;
-    }
-
-    fn report(&self) -> Option<ProbeReport> {
-        Some(self.report.clone())
     }
 }
 
@@ -428,27 +322,11 @@ impl Snapshot for ProbeReport {
             self.predictor_lookups,
             self.predictor_positive,
             self.predictor_trains,
-            self.events,
             self.queue_depth_high_water as u64,
-            self.ring_drops,
-            self.ring_duplicates,
-            self.ring_delays,
-            self.duplicates_suppressed,
-            self.stale_deliveries,
-            self.timeouts,
-            self.retries,
-            self.degraded_entries,
-            self.probation_exits,
-            self.probation_resets,
-            self.spurious_retries,
-            self.rtt_samples,
-            self.torus_drops,
             self.bytes_per_node,
             self.footprint_total_bytes,
             self.locality_lookups,
             self.locality_local,
-            self.escalations,
-            self.bridge_hops,
         ] {
             w.put_u64(v);
         }
@@ -467,31 +345,15 @@ impl Snapshot for ProbeReport {
             &mut self.predictor_lookups,
             &mut self.predictor_positive,
             &mut self.predictor_trains,
-            &mut self.events,
         ] {
             *v = r.get_u64()?;
         }
         self.queue_depth_high_water = r.get_u64()? as usize;
         for v in [
-            &mut self.ring_drops,
-            &mut self.ring_duplicates,
-            &mut self.ring_delays,
-            &mut self.duplicates_suppressed,
-            &mut self.stale_deliveries,
-            &mut self.timeouts,
-            &mut self.retries,
-            &mut self.degraded_entries,
-            &mut self.probation_exits,
-            &mut self.probation_resets,
-            &mut self.spurious_retries,
-            &mut self.rtt_samples,
-            &mut self.torus_drops,
             &mut self.bytes_per_node,
             &mut self.footprint_total_bytes,
             &mut self.locality_lookups,
             &mut self.locality_local,
-            &mut self.escalations,
-            &mut self.bridge_hops,
         ] {
             *v = r.get_u64()?;
         }
@@ -555,30 +417,15 @@ mod tests {
         p.event_dispatched(3);
         p.event_dispatched(7);
         p.event_dispatched(2);
-        p.ring_fault(RingFault::Dropped);
-        p.ring_fault(RingFault::Duplicated);
-        p.ring_fault(RingFault::Delayed(Cycles(10)));
-        p.ring_fault(RingFault::Dropped);
-        p.delivery_suppressed(false);
-        p.delivery_suppressed(true);
-        p.timeout_fired(0);
-        p.retry_issued(1);
-        p.degraded_mode_entered();
-        p.probation_exited();
-        p.probation_reset();
-        p.probation_reset();
-        p.spurious_retry();
         p.rtt_sampled(Cycles(344), Cycles(430));
         p.rtt_sampled(Cycles(500), Cycles(620));
-        p.torus_fault();
         p.locality_lookup(true);
         p.locality_lookup(false);
         p.locality_lookup(true);
-        p.escalation();
         p.bridge_hop(Cycles(66));
         p.bridge_hop(Cycles(80));
         p.footprint(512, 4096, 1 << 20);
-        let r = p.report().unwrap();
+        let r = p.snapshot();
         assert_eq!(r.forwards, 2);
         assert_eq!(r.forward_then_snoop, 1);
         assert_eq!(r.snoop_then_forward, 1);
@@ -593,27 +440,11 @@ mod tests {
         assert_eq!(r.ring_hop_latency.count(), 2);
         assert_eq!(r.ring_hop_latency.min(), Some(12));
         assert_eq!(r.ring_hop_latency.max(), Some(20));
-        assert_eq!(r.events, 3);
         assert_eq!(r.queue_depth_high_water, 7);
-        assert_eq!(r.ring_drops, 2);
-        assert_eq!(r.ring_duplicates, 1);
-        assert_eq!(r.ring_delays, 1);
-        assert_eq!(r.duplicates_suppressed, 1);
-        assert_eq!(r.stale_deliveries, 1);
-        assert_eq!(r.timeouts, 1);
-        assert_eq!(r.retries, 1);
-        assert_eq!(r.degraded_entries, 1);
-        assert_eq!(r.probation_exits, 1);
-        assert_eq!(r.probation_resets, 2);
-        assert_eq!(r.spurious_retries, 1);
-        assert_eq!(r.rtt_samples, 2);
         assert_eq!(r.timeout_estimate.count(), 2);
         assert_eq!(r.timeout_estimate.max(), Some(620));
-        assert_eq!(r.torus_drops, 1);
         assert_eq!(r.locality_lookups, 3);
         assert_eq!(r.locality_local, 2);
-        assert_eq!(r.escalations, 1);
-        assert_eq!(r.bridge_hops, 2);
         assert_eq!(r.bridge_hop_latency.count(), 2);
         assert_eq!(r.bridge_hop_latency.max(), Some(80));
         assert_eq!(r.bytes_per_node, 512);
@@ -632,10 +463,9 @@ mod tests {
         p.event_dispatched(4);
         p.rtt_sampled(Cycles(100), Cycles(150));
         p.locality_lookup(true);
-        p.escalation();
         p.bridge_hop(Cycles(66));
         p.footprint(256, 2048, 1 << 22);
-        let original = p.report().unwrap();
+        let original = p.snapshot().clone();
         let bytes = snapshot_bytes(&original);
         let mut restored = ProbeReport::default();
         restore_bytes(&mut restored, &bytes).expect("restore");
@@ -696,21 +526,14 @@ mod tests {
         s.predictor_trained(1);
         s.ring_hop(Cycles(1));
         s.event_dispatched(1);
-        s.ring_fault(RingFault::Dropped);
-        s.delivery_suppressed(true);
-        s.timeout_fired(0);
         s.retry_issued(1);
-        s.degraded_mode_entered();
-        s.probation_exited();
-        s.probation_reset();
         s.spurious_retry();
         s.rtt_sampled(Cycles(1), Cycles(2));
-        s.torus_fault();
         s.locality_lookup(true);
         s.escalation();
         s.bridge_hop(Cycles(1));
         s.footprint(1, 2, 3);
-        assert!(s.report().is_none());
+        s.txn_event(TxnId(0), Cycle::new(1), TxnEvent::Completed);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //!   is not given a latency); the induced write-back and re-read costs are
 //!   fully modeled.
 
+use std::any::Any;
 use std::collections::VecDeque;
 
 use flexsnoop_engine::snap::{self, Fingerprint, SnapError, SnapReader, SnapWriter, Snapshot};
@@ -421,8 +422,8 @@ pub struct Simulator {
     /// [`Self::set_fault_plan`].
     rtt: Vec<RttEstimator>,
     stats: RunStats,
-    timeline: Timeline,
-    /// Observability sink (see [`crate::probe`]); `None` keeps every hook
+    /// The one observation channel (see [`crate::probe`]): a counting
+    /// probe, a [`Timeline`], or a caller's sink. `None` keeps every hook
     /// site down to one branch.
     probe: Option<Box<dyn Probe>>,
     /// Per-retirement invariant oracle (see [`crate::oracle`]): on when
@@ -622,7 +623,6 @@ impl Simulator {
             timeout_floor: Cycles(0),
             rtt: Vec::new(),
             stats: RunStats::new(energy),
-            timeline: Timeline::disabled(),
             probe: None,
             checks: cfg!(feature = "strict-invariants"),
             violations: Vec::new(),
@@ -757,11 +757,11 @@ impl Simulator {
         &self.stats
     }
 
-    /// Enables per-transaction event recording for the first `limit` ring
-    /// transactions (see [`crate::timeline::Timeline`]). Call before
+    /// Installs a [`Timeline`] recording the first `limit` ring
+    /// transactions as the run's probe, replacing any other. Call before
     /// [`run`](Self::run).
     pub fn enable_timeline(&mut self, limit: usize) {
-        self.timeline = Timeline::with_limit(limit);
+        self.set_probe(Box::new(Timeline::with_limit(limit)));
     }
 
     /// Selects the event-queue implementation backing the scheduler. Both
@@ -780,29 +780,36 @@ impl Simulator {
         self.sched = Scheduler::with_queue(kind);
     }
 
-    /// The recorded transaction timelines.
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
+    /// The recorded transaction timelines, if
+    /// [`enable_timeline`](Self::enable_timeline) installed the probe.
+    pub fn timeline(&self) -> Option<&Timeline> {
+        self.probe()
     }
 
-    /// Installs the built-in counting probe (see [`crate::probe`]). Call
-    /// before [`run`](Self::run); read the result with
-    /// [`probe_report`](Self::probe_report) afterwards.
+    /// Installs the built-in counting probe (see [`crate::probe`]),
+    /// replacing any other. Call before [`run`](Self::run); read the
+    /// result with [`probe_report`](Self::probe_report) afterwards.
     pub fn enable_probe(&mut self) {
-        self.probe = Some(Box::new(CountingProbe::new()));
+        self.set_probe(Box::new(CountingProbe::new()));
     }
 
-    /// Installs a caller-supplied observability sink. Call before
-    /// [`run`](Self::run).
+    /// Installs a caller-supplied observability sink, replacing any
+    /// other. Call before [`run`](Self::run).
     pub fn set_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = Some(probe);
     }
 
-    /// The aggregated probe counters, if a report-producing probe (such as
-    /// the one installed by [`enable_probe`](Self::enable_probe)) is
-    /// present.
+    /// The installed probe as its concrete type `T`, or `None` when no
+    /// probe or a different kind is installed.
+    pub fn probe<T: Probe>(&self) -> Option<&T> {
+        let probe: &dyn Any = self.probe.as_deref()?;
+        probe.downcast_ref()
+    }
+
+    /// A copy of the counters of the probe installed by
+    /// [`enable_probe`](Self::enable_probe), if that is the run's probe.
     pub fn probe_report(&self) -> Option<ProbeReport> {
-        self.probe.as_ref().and_then(|p| p.report())
+        self.probe::<CountingProbe>().map(|p| p.snapshot().clone())
     }
 
     /// Write-snoop invalidations skipped by the presence filter (only
@@ -1513,8 +1520,7 @@ impl Simulator {
             scope,
             retried: false,
         });
-        self.timeline
-            .record(id, now, TxnEvent::Issued { node: requester });
+        self.txn_event(id, now, TxnEvent::Issued { node: requester });
         let msg = RingMsg {
             txn: id,
             line,
@@ -1567,7 +1573,7 @@ impl Simulator {
                 }
             }
         }
-        self.timeline.record(
+        self.txn_event(
             msg.txn,
             leave,
             TxnEvent::Forwarded {
@@ -1593,11 +1599,6 @@ impl Simulator {
             TxnOp::Write => self.stats.write_ring_hops += 1,
         }
         self.stats.energy.add(EnergyCategory::RingLink, 1);
-        if let Some(fault) = out.fault {
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.ring_fault(fault);
-            }
-        }
         let node = if go_global {
             self.ring.global_next(from)
         } else {
@@ -1617,8 +1618,7 @@ impl Simulator {
                     .schedule_at(arrival, Event::RingArrive { msg, node });
             }
             None => {
-                self.timeline
-                    .record(msg.txn, leave, TxnEvent::Dropped { node: from });
+                self.txn_event(msg.txn, leave, TxnEvent::Dropped { node: from });
             }
         }
         if let Some(dup_at) = out.duplicate {
@@ -1654,9 +1654,6 @@ impl Simulator {
             Some(txn) => {
                 if txn.seen(msg.seq) {
                     self.stats.robustness.duplicates_suppressed += 1;
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.delivery_suppressed(false);
-                    }
                     return false;
                 }
                 txn.mark_seen(msg.seq);
@@ -1664,9 +1661,6 @@ impl Simulator {
             }
         };
         self.stats.robustness.stale_deliveries += 1;
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.delivery_suppressed(true);
-        }
         if spurious {
             self.stats.robustness.spurious_retries += 1;
             // The scheduler clock is the dispatch time of the arrival
@@ -1680,11 +1674,11 @@ impl Simulator {
         false
     }
 
-    /// Observability for one torus data message the fault plan ate (the
-    /// authoritative count is folded from the torus itself at run end).
-    fn note_torus_drop(&mut self) {
+    /// Reports one step of transaction `txn` to the probe (a
+    /// [`Timeline`] records it).
+    fn txn_event(&mut self, txn: TxnId, at: Cycle, event: TxnEvent) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.torus_fault();
+            p.txn_event(txn, at, event);
         }
     }
 
@@ -1737,26 +1731,16 @@ impl Simulator {
         let requester = txn.requester;
         self.stats.robustness.timeouts += 1;
         self.stats.robustness.last_timeout_cycle = now.as_u64();
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.timeout_fired(attempt);
-        }
-        self.timeline
-            .record(txn_id, now, TxnEvent::TimedOut { attempt });
+        self.txn_event(txn_id, now, TxnEvent::TimedOut { attempt });
         if attempt >= self.cfg.recovery.retry_cap && !self.degraded_lines.contains_key(&line) {
             self.degraded_lines.insert(line, 0);
             self.stats.robustness.degraded_entries += 1;
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.degraded_mode_entered();
-            }
         } else if let Some(clean) = self.degraded_lines.get_mut(&line) {
             // A fault burst interrupts probation: clean-circulation
             // progress restarts from zero.
             if *clean > 0 {
                 *clean = 0;
                 self.stats.robustness.probation_resets += 1;
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.probation_reset();
-                }
             }
         }
         let new_attempt = attempt + 1;
@@ -1797,7 +1781,7 @@ impl Simulator {
         if let Some(p) = self.probe.as_deref_mut() {
             p.retry_issued(new_attempt);
         }
-        self.timeline.record(
+        self.txn_event(
             txn_id,
             now,
             TxnEvent::Retried {
@@ -1844,7 +1828,7 @@ impl Simulator {
         }
         let group = self.ring.group_of(requester);
         self.locality[group].train(line, false);
-        self.timeline.record(txn_id, now, TxnEvent::Escalated);
+        self.txn_event(txn_id, now, TxnEvent::Escalated);
         let leave = now + self.cfg.timing.gateway_latency;
         let txn = self.txns.get_mut(txn_id).expect("txn checked above");
         txn.scope = SnoopScope::Global;
@@ -1884,7 +1868,7 @@ impl Simulator {
         if self.unreliable && !self.accept_delivery(&msg, node) {
             return;
         }
-        self.timeline.record(
+        self.txn_event(
             msg.txn,
             now,
             TxnEvent::Arrived {
@@ -1921,7 +1905,7 @@ impl Simulator {
                         if let Some(txn) = self.txns.get_mut(msg.txn) {
                             txn.prefetch_ready = Some(ready);
                         }
-                        self.timeline.record(
+                        self.txn_event(
                             msg.txn,
                             now,
                             TxnEvent::MemoryStarted {
@@ -1986,7 +1970,7 @@ impl Simulator {
             if let Some(p) = self.probe.as_deref_mut() {
                 p.predictor_lookup(predicted);
             }
-            self.timeline.record(
+            self.txn_event(
                 msg.txn,
                 now,
                 TxnEvent::Predicted {
@@ -2075,8 +2059,7 @@ impl Simulator {
                 buffered: None,
             },
         );
-        self.timeline
-            .record(txn, start, TxnEvent::SnoopStarted { node });
+        self.txn_event(txn, start, TxnEvent::SnoopStarted { node });
         let grant = self.snoop_ports[node.0].acquire(start, self.cfg.timing.snoop_occupancy);
         self.sched.schedule_at(
             grant.start + self.cfg.timing.snoop_time,
@@ -2120,7 +2103,7 @@ impl Simulator {
             debug_assert!(self.mutation.is_some() || result.supplier.is_none());
             return;
         };
-        self.timeline.record(
+        self.txn_event(
             txn_id,
             now,
             TxnEvent::SnoopFinished {
@@ -2142,18 +2125,14 @@ impl Simulator {
                 self.locality[group].train(line, was_local);
             }
             self.stats.reads_cache_supplied += 1;
-            self.timeline
-                .record(txn_id, now, TxnEvent::DataSent { node });
+            self.txn_event(txn_id, now, TxnEvent::DataSent { node });
             // Faultable: a read supply leaves the supplier's copy intact
             // (it only moved to a shared supplier state), so a retried
             // circulation finds it again and re-requests the data.
-            match self.torus.send_outcome(node, requester, now) {
-                Some(data_at) => {
-                    self.sched
-                        .schedule_at(data_at, Event::DataArrive { txn: txn_id });
-                    self.note_data_scheduled(txn_id);
-                }
-                None => self.note_torus_drop(),
+            if let Some(data_at) = self.torus.send_outcome(node, requester, now) {
+                self.sched
+                    .schedule_at(data_at, Event::DataArrive { txn: txn_id });
+                self.note_data_scheduled(txn_id);
             }
             let mut info = acc.unwrap_or_else(ReplyInfo::start);
             info.merge_snoop(true, true);
@@ -2364,8 +2343,7 @@ impl Simulator {
                 buffered: None,
             },
         );
-        self.timeline
-            .record(txn, start, TxnEvent::SnoopStarted { node });
+        self.txn_event(txn, start, TxnEvent::SnoopStarted { node });
         let grant = self.snoop_ports[node.0].acquire(start, self.cfg.timing.snoop_occupancy);
         self.sched.schedule_at(
             grant.start + self.cfg.timing.snoop_time,
@@ -2398,7 +2376,7 @@ impl Simulator {
             self.invalidate_cmp(node, line)
         };
         let had_supplier = dropped.had_supplier;
-        self.timeline.record(
+        self.txn_event(
             txn_id,
             now,
             TxnEvent::SnoopFinished {
@@ -2628,7 +2606,7 @@ impl Simulator {
             }
             None => match self.torus.send_outcome(requester, home, now) {
                 Some(at_home) => {
-                    self.timeline.record(
+                    self.txn_event(
                         txn_id,
                         at_home,
                         TxnEvent::MemoryStarted {
@@ -2645,12 +2623,9 @@ impl Simulator {
                 None => None,
             },
         };
-        match data_at {
-            Some(at) => {
-                self.sched.schedule_at(at, Event::MemData { txn: txn_id });
-                self.note_data_scheduled(txn_id);
-            }
-            None => self.note_torus_drop(),
+        if let Some(at) = data_at {
+            self.sched.schedule_at(at, Event::MemData { txn: txn_id });
+            self.note_data_scheduled(txn_id);
         }
     }
 
@@ -2703,12 +2678,9 @@ impl Simulator {
                             None => None,
                         },
                     };
-                    match data_at {
-                        Some(at) => {
-                            self.sched.schedule_at(at, Event::MemData { txn: txn_id });
-                            self.note_data_scheduled(txn_id);
-                        }
-                        None => self.note_torus_drop(),
+                    if let Some(at) = data_at {
+                        self.sched.schedule_at(at, Event::MemData { txn: txn_id });
+                        self.note_data_scheduled(txn_id);
                     }
                 }
             }
@@ -2729,12 +2701,12 @@ impl Simulator {
         };
         txn.data_pending = txn.data_pending.saturating_sub(1);
         txn.data_arrived = Some(now);
-        self.timeline.record(txn_id, now, TxnEvent::DataArrived);
         let op = txn.op;
         let node = txn.requester;
         let core = txn.core;
         let line = txn.line;
         let reply_returned = txn.reply_info.is_some();
+        self.txn_event(txn_id, now, TxnEvent::DataArrived);
         let local = self.local_idx(core);
         match op {
             TxnOp::Read => {
@@ -2896,7 +2868,7 @@ impl Simulator {
         if txn.op == TxnOp::Read {
             self.stats.read_latency.record((now - issued_at).as_u64());
         }
-        self.timeline.record(txn_id, now, TxnEvent::Completed);
+        self.txn_event(txn_id, now, TxnEvent::Completed);
         if blocking {
             self.release_read_slot(core, now);
         }
@@ -2924,7 +2896,7 @@ impl Simulator {
                 SnoopScope::Global => self.stats.global_circulations += 1,
             }
         }
-        self.timeline.record(txn_id, now, TxnEvent::Retired);
+        self.txn_event(txn_id, now, TxnEvent::Retired);
         // Probation: a retry-free retirement on a degraded line is one
         // clean circulation; a full window of them re-arms the Table 3
         // algorithm for the line. Retired retries neither count nor
@@ -2936,9 +2908,6 @@ impl Simulator {
                     self.degraded_lines.remove(&line);
                     self.stats.robustness.probation_exits += 1;
                     self.stats.robustness.last_probation_exit_cycle = now.as_u64();
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.probation_exited();
-                    }
                 }
             }
         }
@@ -3270,9 +3239,12 @@ impl Simulator {
     /// access stream's RNG), in-flight transactions with their arena
     /// generations, the sparse gateway map, residency and collision
     /// tables, recovery state (RTT estimators, degraded-line probation),
-    /// and the statistics so far. The timeline recorder and probe sink
-    /// are *not* captured — a restored run re-attaches its own (that is
-    /// what lets the differential harness rewind with recording enabled).
+    /// and the statistics so far. The probe is *not* captured: a
+    /// restored run reports to whatever sink its caller installed, and
+    /// that sink sees only the rest of the run. That is what lets the
+    /// differential harness rewind with a [`Timeline`] installed; it is
+    /// also why a probe's counts after a restore cover only the resumed
+    /// part, so the sweep service restarts a probed job instead.
     ///
     /// Call between [`run_until`](Self::run_until) slices. Restoring
     /// ([`Self::restore_snapshot`]) onto a freshly built simulator of the

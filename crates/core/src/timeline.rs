@@ -1,13 +1,15 @@
 //! Per-transaction event timelines.
 //!
-//! When enabled, the simulator records the life of each ring transaction —
-//! issue, every gateway arrival, snoop start/finish, message forwarding,
-//! data transfer, memory access, completion — with cycle timestamps. This
-//! is the observability layer for debugging protocol behaviour and for
-//! producing the kind of per-request walkthroughs in the paper's Figure 3.
+//! [`Timeline`] is a [`Probe`] sink: it records the life of each ring
+//! transaction — issue, every gateway arrival, snoop start/finish, message
+//! forwarding, data transfer, memory access, faults and retries,
+//! completion — with cycle timestamps, as the simulator reports them
+//! through [`Probe::txn_event`]. This is the observability layer for
+//! debugging protocol behaviour and for producing the kind of per-request
+//! walkthroughs in the paper's Figure 3.
 //!
-//! Recording is off by default (zero cost beyond a branch); enable it with
-//! [`crate::Simulator::enable_timeline`].
+//! [`crate::Simulator::enable_timeline`] installs one as the run's probe;
+//! [`crate::Simulator::timeline`] reads it back.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -16,6 +18,7 @@ use flexsnoop_engine::Cycle;
 use flexsnoop_mem::CmpId;
 
 use crate::message::TxnId;
+use crate::probe::Probe;
 
 /// One event in a transaction's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,42 +140,19 @@ impl std::fmt::Display for TxnEvent {
 }
 
 /// A bounded recorder of per-transaction events.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
-    enabled: bool,
     limit: usize,
     events: BTreeMap<TxnId, Vec<(Cycle, TxnEvent)>>,
 }
 
 impl Timeline {
-    /// A disabled recorder (records nothing).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// A recorder keeping events for the first `limit` transactions.
     pub fn with_limit(limit: usize) -> Self {
         Timeline {
-            enabled: true,
             limit,
             events: BTreeMap::new(),
         }
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one event (no-op when disabled or over the limit).
-    pub fn record(&mut self, txn: TxnId, at: Cycle, event: TxnEvent) {
-        if !self.enabled {
-            return;
-        }
-        if !self.events.contains_key(&txn) && self.events.len() >= self.limit {
-            return;
-        }
-        self.events.entry(txn).or_default().push((at, event));
     }
 
     /// Transactions captured, in id order.
@@ -198,25 +178,27 @@ impl Timeline {
     }
 }
 
+impl Probe for Timeline {
+    /// Records one event (no-op for a transaction past the limit).
+    fn txn_event(&mut self, txn: TxnId, at: Cycle, event: TxnEvent) {
+        if !self.events.contains_key(&txn) && self.events.len() >= self.limit {
+            return;
+        }
+        self.events.entry(txn).or_default().push((at, event));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_records_nothing() {
-        let mut t = Timeline::disabled();
-        t.record(TxnId(0), Cycle::new(1), TxnEvent::Completed);
-        assert_eq!(t.events(TxnId(0)), &[]);
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
     fn records_in_order_with_limit() {
         let mut t = Timeline::with_limit(2);
-        t.record(TxnId(0), Cycle::new(1), TxnEvent::Issued { node: CmpId(0) });
-        t.record(TxnId(1), Cycle::new(2), TxnEvent::Issued { node: CmpId(1) });
-        t.record(TxnId(2), Cycle::new(3), TxnEvent::Issued { node: CmpId(2) });
-        t.record(TxnId(0), Cycle::new(9), TxnEvent::Completed);
+        t.txn_event(TxnId(0), Cycle::new(1), TxnEvent::Issued { node: CmpId(0) });
+        t.txn_event(TxnId(1), Cycle::new(2), TxnEvent::Issued { node: CmpId(1) });
+        t.txn_event(TxnId(2), Cycle::new(3), TxnEvent::Issued { node: CmpId(2) });
+        t.txn_event(TxnId(0), Cycle::new(9), TxnEvent::Completed);
         assert_eq!(t.transactions().count(), 2, "third txn dropped");
         assert_eq!(t.events(TxnId(0)).len(), 2);
         assert_eq!(t.events(TxnId(2)).len(), 0);
@@ -225,12 +207,12 @@ mod tests {
     #[test]
     fn render_uses_relative_times() {
         let mut t = Timeline::with_limit(1);
-        t.record(
+        t.txn_event(
             TxnId(7),
             Cycle::new(100),
             TxnEvent::Issued { node: CmpId(3) },
         );
-        t.record(TxnId(7), Cycle::new(143), TxnEvent::DataArrived);
+        t.txn_event(TxnId(7), Cycle::new(143), TxnEvent::DataArrived);
         let text = t.render(TxnId(7));
         assert!(text.contains("txn7"), "{text}");
         assert!(text.contains("+    0"), "{text}");

@@ -118,11 +118,11 @@ fn bridge_routing_never_drops_or_duplicates_snoops() {
                     + stats.escalations * (local as u64 - 1),
             "{local}x{groups}: more snoops than one visit per node per attempt"
         );
-        let txns: Vec<_> = sim.timeline().transactions().collect();
-        assert!(!txns.is_empty());
-        for txn in txns {
+        let timeline = sim.timeline().expect("timeline installed");
+        assert!(timeline.transactions().next().is_some());
+        for txn in timeline.transactions() {
             let mut seen: HashSet<usize> = HashSet::new();
-            for (_, ev) in sim.timeline().events(txn) {
+            for (_, ev) in timeline.events(txn) {
                 match ev {
                     flexsnoop::TxnEvent::SnoopStarted { node } => {
                         assert!(
@@ -139,6 +139,75 @@ fn bridge_routing_never_drops_or_duplicates_snoops() {
         }
         assert_eq!(sim.in_flight(), 0);
     }
+}
+
+/// The first escalated read of SupersetAgg on the 2×4 hierarchy, step by
+/// step: a local lap of the requester's two-node ring finds no supplier,
+/// the requester escalates, and the global circulation visits every
+/// group before the home node's prefetched memory data completes it.
+const ESCALATION_WALKTHROUGH: &str = "\
+txn14:
+  +    0  issued at cmp7
+  +    4  R/R leaves cmp7
+  +   43  R/R arrives at cmp6
+  +   43  cmp6 predicts no supplier
+  +   49  R/R leaves cmp6
+  +   88  R/R arrives at cmp7
+  +   88  local miss: escalated to global
+  +   92  R/R leaves cmp7
+  +  131  R/R arrives at cmp6
+  +  131  cmp6 predicts no supplier
+  +  137  R/R leaves cmp6
+  +  203  R/R arrives at cmp0
+  +  207  R/R leaves cmp0
+  +  246  R/R arrives at cmp1
+  +  246  memory prefetch at cmp1
+  +  246  cmp1 predicts no supplier
+  +  252  R/R leaves cmp1
+  +  291  R/R arrives at cmp0
+  +  291  cmp0 predicts no supplier
+  +  297  R/R leaves cmp0
+  +  363  R/R arrives at cmp2
+  +  367  R/R leaves cmp2
+  +  406  R/R arrives at cmp3
+  +  406  cmp3 predicts no supplier
+  +  412  R/R leaves cmp3
+  +  451  R/R arrives at cmp2
+  +  451  cmp2 predicts no supplier
+  +  457  R/R leaves cmp2
+  +  523  R/R arrives at cmp4
+  +  527  R/R leaves cmp4
+  +  566  R/R arrives at cmp5
+  +  566  cmp5 predicts no supplier
+  +  572  R/R leaves cmp5
+  +  611  R/R arrives at cmp4
+  +  611  cmp4 predicts no supplier
+  +  617  R/R leaves cmp4
+  +  683  R/R arrives at cmp6
+  +  687  R/R leaves cmp6
+  +  726  R/R arrives at cmp7
+  +  774  core resumes
+  +  774  retired
+";
+
+#[test]
+fn escalated_walkthrough_matches_the_pinned_render() {
+    // Pins the order and the cycle of every step, not just which kinds
+    // occur: the escalation step comes from the scope path's report site.
+    let mut sim = hier(Algorithm::SupersetAgg, 2, 4);
+    sim.enable_timeline(usize::MAX);
+    sim.run();
+    let timeline = sim.timeline().expect("timeline installed");
+    let escalated = timeline
+        .transactions()
+        .find(|&txn| {
+            timeline
+                .events(txn)
+                .iter()
+                .any(|(_, ev)| matches!(ev, flexsnoop::TxnEvent::Escalated))
+        })
+        .expect("a local miss escalated");
+    assert_eq!(timeline.render(escalated), ESCALATION_WALKTHROUGH);
 }
 
 #[test]

@@ -22,7 +22,6 @@
 use std::collections::VecDeque;
 
 use flexsnoop::oracle::Violation;
-use flexsnoop::probe::{CountingProbe, Probe, ProbeReport};
 use flexsnoop::MachineConfig;
 use flexsnoop_engine::{Cycle, Cycles, FxHashMap, Resource, Scheduler};
 use flexsnoop_mem::{invariants, CacheGeometry, CmpCaches, CmpId, CoherState, LineAddr};
@@ -150,10 +149,6 @@ pub struct DirSimulator {
     line_busy: FxHashMap<LineAddr, (u32, u32)>,
     line_waiters: FxHashMap<LineAddr, VecDeque<(usize, MemAccess)>>,
     stats: DirStats,
-    /// Observability sink, mirroring the ring simulator's (see
-    /// `flexsnoop::probe`): fed event-dispatch queue depths and
-    /// per-message torus latencies.
-    probe: Option<Box<dyn Probe>>,
     /// Per-completion invariant oracle, mirroring the ring simulator's
     /// (see `flexsnoop::oracle`).
     checks: bool,
@@ -232,7 +227,6 @@ impl DirSimulator {
             line_busy: FxHashMap::default(),
             line_waiters: FxHashMap::default(),
             stats: DirStats::default(),
-            probe: None,
             checks: cfg!(feature = "strict-invariants"),
             violations: Vec::new(),
             active_cores,
@@ -280,26 +274,7 @@ impl DirSimulator {
     /// Sends a protocol message over the torus, counting hops and energy.
     fn send(&mut self, from: CmpId, to: CmpId, at: Cycle) -> Cycle {
         self.stats.link_hops += self.torus.config().hops(from, to) as u64;
-        let arrival = self.torus.send(from, to, at);
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.ring_hop(arrival - at);
-        }
-        arrival
-    }
-
-    /// Installs the built-in counting probe (see `flexsnoop::probe`). The
-    /// directory machine has no ring, predictors or presence filters, so
-    /// only the event-dispatch and interconnect-latency hooks fire; the
-    /// latency histogram records whole torus traversals rather than single
-    /// ring hops. Call before [`run`](Self::run).
-    pub fn enable_probe(&mut self) {
-        self.probe = Some(Box::new(CountingProbe::new()));
-    }
-
-    /// The aggregated probe counters, if a report-producing probe is
-    /// installed.
-    pub fn probe_report(&self) -> Option<ProbeReport> {
-        self.probe.as_ref().and_then(|p| p.report())
+        self.torus.send(from, to, at)
     }
 
     /// Runs to completion.
@@ -314,9 +289,6 @@ impl DirSimulator {
             self.advance_core(core, Cycle::ZERO);
         }
         while let Some((now, ev)) = self.sched.pop() {
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.event_dispatched(self.sched.len());
-            }
             match ev {
                 Event::CoreIssue {
                     core,

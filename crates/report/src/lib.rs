@@ -1025,8 +1025,10 @@ impl VolatileContext {
 fn probe_rows(cells: &[CellResult], algorithms: &[Algorithm]) -> Json {
     Json::arr(algorithms.iter().map(|&alg| {
         let mut total = ProbeReport::default();
+        let mut events = 0;
         for cell in cells.iter().filter(|c| c.algorithm == alg) {
             let Some(p) = &cell.probe else { continue };
+            events += cell.stats.events;
             total.forwards += p.forwards;
             total.forward_then_snoop += p.forward_then_snoop;
             total.snoop_then_forward += p.snoop_then_forward;
@@ -1035,7 +1037,6 @@ fn probe_rows(cells: &[CellResult], algorithms: &[Algorithm]) -> Json {
             total.predictor_lookups += p.predictor_lookups;
             total.predictor_positive += p.predictor_positive;
             total.predictor_trains += p.predictor_trains;
-            total.events += p.events;
             total.queue_depth_high_water =
                 total.queue_depth_high_water.max(p.queue_depth_high_water);
             total.ring_hop_latency.merge(&p.ring_hop_latency);
@@ -1044,7 +1045,7 @@ fn probe_rows(cells: &[CellResult], algorithms: &[Algorithm]) -> Json {
             total.footprint_total_bytes = total.footprint_total_bytes.max(p.footprint_total_bytes);
         }
         let mut pairs = vec![("algorithm".to_string(), Json::str(alg.to_string()))];
-        match probe_json(&total) {
+        match probe_json(&total, events) {
             Json::Obj(fields) => pairs.extend(fields),
             other => pairs.push(("probe".to_string(), other)),
         }
@@ -1052,8 +1053,9 @@ fn probe_rows(cells: &[CellResult], algorithms: &[Algorithm]) -> Json {
     }))
 }
 
-/// Serializes one [`ProbeReport`] (deterministic: counters only).
-fn probe_json(p: &ProbeReport) -> Json {
+/// Serializes one [`ProbeReport`] plus the `events` its runs dispatched
+/// (from [`flexsnoop::RunStats`]; deterministic: counters only).
+fn probe_json(p: &ProbeReport, events: u64) -> Json {
     Json::obj([
         ("forwards", Json::from(p.forwards)),
         ("forward_then_snoop", Json::from(p.forward_then_snoop)),
@@ -1063,7 +1065,7 @@ fn probe_json(p: &ProbeReport) -> Json {
         ("predictor_lookups", Json::from(p.predictor_lookups)),
         ("predictor_positive", Json::from(p.predictor_positive)),
         ("predictor_trains", Json::from(p.predictor_trains)),
-        ("events", Json::from(p.events)),
+        ("events", Json::from(events)),
         (
             "queue_depth_high_water",
             Json::from(p.queue_depth_high_water),

@@ -19,7 +19,7 @@ use crate::names::{parse_algorithm, parse_predictor, parse_workload};
 
 /// Version tag inside the sealed [`JobOutput`] payload; bump on layout
 /// changes so stale persistent cache entries are rejected, not misread.
-const JOB_OUTPUT_VERSION: u32 = 1;
+const JOB_OUTPUT_VERSION: u32 = 2;
 
 /// One simulation run, described by names rather than types.
 ///

@@ -493,9 +493,12 @@ fn run_job(inner: &Inner, cache: &ResultsCache, key: JobKey, spec: JobSpec) {
         Err(_) => fail(inner, key, "job panicked in the simulator".to_string()),
         Ok(None) => {
             // Preempted mid-run: park a checkpoint and hand the job back
-            // to the queue (a later resume parks a fresh one in turn).
-            let snapshot = sim.save_snapshot();
-            park(inner, key, spec, Some(snapshot));
+            // to the queue (a later resume parks a fresh one in turn). A
+            // snapshot leaves the probe out, so a probed job resumed from
+            // one would publish counters of only its second half under
+            // the whole run's key: it restarts from cycle 0 instead.
+            let snapshot = (!spec.probe).then(|| sim.save_snapshot());
+            park(inner, key, spec, snapshot);
         }
         Ok(Some((stats, probe))) => {
             if let Err(e) = sim.validate_coherence() {
@@ -665,51 +668,59 @@ mod tests {
 
     #[test]
     fn preempted_jobs_resume_to_identical_results() {
-        let req = request(&["superset-agg"], &[9], 800);
-        // Uninterrupted baseline.
-        let baseline = {
-            let service = service();
+        // A probed job restarts from cycle 0 instead of resuming (its
+        // probe is not in the snapshot); either way the published bytes
+        // must be the uninterrupted run's.
+        for probe in [false, true] {
+            let req = SweepRequest {
+                probe,
+                ..request(&["superset-agg"], &[9], 800)
+            };
+            // Uninterrupted baseline.
+            let baseline = {
+                let service = service();
+                let sub = service.submit(&req).unwrap();
+                sub.collect().results[0].as_ref().unwrap().bytes.clone()
+            };
+            // Tiny slices so a preempt lands mid-run with high probability.
+            let service = SweepService::new(
+                ServiceOptions {
+                    threads: 1,
+                    slice_cycles: 500,
+                },
+                ResultsCache::in_memory(),
+            );
             let sub = service.submit(&req).unwrap();
-            sub.collect().results[0].as_ref().unwrap().bytes.clone()
-        };
-        // Tiny slices so a preempt lands mid-run with high probability.
-        let service = SweepService::new(
-            ServiceOptions {
-                threads: 1,
-                slice_cycles: 500,
-            },
-            ResultsCache::in_memory(),
-        );
-        let sub = service.submit(&req).unwrap();
-        let mut preempted = false;
-        let mut bytes = None;
-        for event in sub.events.iter() {
-            match event {
-                JobEvent::Status {
-                    state: JobState::Running,
-                    ..
-                } if !preempted => {
-                    preempted = true;
-                    service.preempt();
-                    // Wait for the park (or for the run to win the race).
-                    while service.parked_jobs() == 0 && service.stats().executed == 0 {
-                        std::thread::yield_now();
+            let mut preempted = false;
+            let mut bytes = None;
+            for event in sub.events.iter() {
+                match event {
+                    JobEvent::Status {
+                        state: JobState::Running,
+                        ..
+                    } if !preempted => {
+                        preempted = true;
+                        service.preempt();
+                        // Wait for the park (or for the run to win the race).
+                        while service.parked_jobs() == 0 && service.stats().executed == 0 {
+                            std::thread::yield_now();
+                        }
+                        service.resume_preempted();
                     }
-                    service.resume_preempted();
+                    JobEvent::Result { bytes: b, .. } => {
+                        bytes = Some(b);
+                        break;
+                    }
+                    JobEvent::Failed { error, .. } => panic!("job failed: {error}"),
+                    _ => {}
                 }
-                JobEvent::Result { bytes: b, .. } => {
-                    bytes = Some(b);
-                    break;
-                }
-                JobEvent::Failed { error, .. } => panic!("job failed: {error}"),
-                _ => {}
             }
+            assert_eq!(
+                bytes.expect("job produced no result"),
+                baseline,
+                "probe={probe}: preempted run diverged from the uninterrupted run"
+            );
         }
-        assert_eq!(
-            bytes.expect("job produced no result"),
-            baseline,
-            "resume from checkpoint diverged from the uninterrupted run"
-        );
     }
 
     #[test]

@@ -43,13 +43,13 @@ fn trace_one(algorithm: Algorithm) -> Result<(), String> {
     sim.enable_timeline(16);
     sim.run();
     println!("==== {algorithm} ====");
+    let timeline = sim.timeline().ok_or("timeline not installed")?;
     // The last recorded transaction is core 0's read of the warmed line.
-    let last = sim
-        .timeline()
+    let last = timeline
         .transactions()
         .last()
         .ok_or("no transactions recorded")?;
-    print!("{}", sim.timeline().render(last));
+    print!("{}", timeline.render(last));
     println!();
     Ok(())
 }

@@ -1,10 +1,11 @@
-//! Shared experiment harness for the figure/table benchmarks.
+//! Shared experiment harness for the paper's tables and figures.
 //!
-//! Each Criterion bench target regenerates one paper table or figure by
-//! calling into this library, printing the rows the paper reports, and then
-//! timing a representative simulation kernel. The heavy lifting — running
+//! `flexsnoop report` (the `flexsnoop-report` crate) regenerates Tables 1
+//! and 3 and Figures 6–11 from this library. The heavy lifting — running
 //! every (workload × algorithm) pair and aggregating per group — lives
-//! here so the calibration binary, the benches and the examples all agree.
+//! here so the report, the calibration binary and the remaining bench
+//! targets (Figure 4, the ablations and the scaling microbenches) all
+//! agree.
 
 pub mod sweeps;
 
@@ -200,17 +201,6 @@ pub fn render_aggregate(
         table.row(vec![name, get("SPLASH-2"), get("SPECjbb"), get("SPECweb")]);
     }
     format!("{title}\n{}", table.render())
-}
-
-/// Convenience: run the full paper matrix and render one metric.
-pub fn figure_report<F>(title: &str, metric: F, normalize_to_lazy: bool, accesses: u64) -> String
-where
-    F: Fn(&RunStats) -> f64,
-{
-    let algorithms = Algorithm::PAPER_SET;
-    let results = run_matrix(&paper_workloads(), &algorithms, accesses, SEED);
-    let agg = aggregate(&results, &algorithms, metric, normalize_to_lazy);
-    render_aggregate(title, &agg, &algorithms)
 }
 
 /// Runs a single sensitivity cell: one workload group under one algorithm

@@ -1,13 +1,12 @@
-//! Structured experiment sweeps shared by the bench targets and the
-//! report generator: the Table 1 and Table 3 characterizations, the
-//! Figure 10 predictor-size sensitivity study and the Figure 11 accuracy
-//! study.
+//! Structured experiment sweeps behind the report generator: the Table 1
+//! and Table 3 characterizations, the Figure 10 predictor-size
+//! sensitivity study and the Figure 11 accuracy study.
 
 use std::collections::BTreeMap;
 
 use flexsnoop::{run_workload, Algorithm, GroupAggregator, PredictorSpec};
 use flexsnoop_predictor::AccuracyStats;
-use flexsnoop_workload::{profiles, WorkloadGroup};
+use flexsnoop_workload::{profiles, WorkloadGroup, WorkloadProfile};
 
 use crate::{run_with_predictor, SEED};
 
@@ -187,21 +186,12 @@ pub fn figure10_cases() -> [(Algorithm, &'static [(&'static str, PredictorSpec)]
     ]
 }
 
-/// Runs one algorithm over its predictor configurations and the full
-/// workload suite; returns per-config execution times per group,
-/// normalized to the middle (2K, §6.1 default) configuration.
+/// Runs one algorithm over its predictor configurations and `workloads`
+/// (the paper uses [`profiles::all`]); returns per-config execution
+/// times per group, normalized to the middle (2K, §6.1 default)
+/// configuration.
 pub fn figure10_sweep(
-    algorithm: Algorithm,
-    configs: &[(&str, PredictorSpec)],
-    accesses: u64,
-) -> Vec<(String, Vec<(&'static str, f64)>)> {
-    figure10_sweep_on(&profiles::all(), algorithm, configs, accesses)
-}
-
-/// [`figure10_sweep`] over an explicit workload subset (used by the
-/// report pipeline's scaled-down self-tests).
-pub fn figure10_sweep_on(
-    workloads: &[flexsnoop_workload::WorkloadProfile],
+    workloads: &[WorkloadProfile],
     algorithm: Algorithm,
     configs: &[(&str, PredictorSpec)],
     accesses: u64,
@@ -253,19 +243,11 @@ pub fn figure11_configs() -> Vec<(&'static str, Algorithm, PredictorSpec)> {
     ]
 }
 
-/// Runs one (algorithm, predictor) pair over the full suite, returning
-/// merged accuracy per workload group in reporting order.
+/// Runs one (algorithm, predictor) pair over `workloads` (the paper uses
+/// [`profiles::all`]), returning merged accuracy per workload group in
+/// reporting order.
 pub fn figure11_accuracy(
-    algorithm: Algorithm,
-    spec: PredictorSpec,
-    accesses: u64,
-) -> Vec<(&'static str, AccuracyStats)> {
-    figure11_accuracy_on(&profiles::all(), algorithm, spec, accesses)
-}
-
-/// [`figure11_accuracy`] over an explicit workload subset.
-pub fn figure11_accuracy_on(
-    workloads: &[flexsnoop_workload::WorkloadProfile],
+    workloads: &[WorkloadProfile],
     algorithm: Algorithm,
     spec: PredictorSpec,
     accesses: u64,
@@ -304,7 +286,7 @@ mod tests {
     #[test]
     fn figure10_normalizes_to_middle_config() {
         // A tiny sweep: the middle config must read exactly 1.0 per group.
-        let rows = figure10_sweep(Algorithm::Subset, &SUBSET_CONFIGS, 300);
+        let rows = figure10_sweep(&profiles::all(), Algorithm::Subset, &SUBSET_CONFIGS, 300);
         assert_eq!(rows.len(), 3);
         for (group, v) in &rows[1].1 {
             assert!((v - 1.0).abs() < 1e-12, "{group}: {v}");
@@ -339,7 +321,12 @@ mod tests {
 
     #[test]
     fn figure11_perfect_predictor_never_errs() {
-        let rows = figure11_accuracy(Algorithm::Oracle, PredictorSpec::Perfect, 300);
+        let rows = figure11_accuracy(
+            &profiles::all(),
+            Algorithm::Oracle,
+            PredictorSpec::Perfect,
+            300,
+        );
         for (group, acc) in rows {
             assert_eq!(acc.false_positives, 0, "{group}");
             assert_eq!(acc.false_negatives, 0, "{group}");

@@ -38,13 +38,7 @@ fn run_through_service(
     request: &SweepRequest,
     threads: usize,
 ) -> Result<(SweepService, SealedResults), String> {
-    let service = SweepService::new(
-        ServiceOptions {
-            threads,
-            slice_cycles: 10_000,
-        },
-        ResultsCache::in_memory(),
-    );
+    let service = SweepService::new(ServiceOptions { threads }, ResultsCache::in_memory());
     let bytes = collect_bytes(&service, request)?;
     Ok((service, bytes))
 }

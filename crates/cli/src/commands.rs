@@ -540,7 +540,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
     };
     let options = flexsnoop_serve::ServiceOptions {
         threads: args.threads,
-        ..flexsnoop_serve::ServiceOptions::default()
     };
     let service = flexsnoop_serve::SweepService::new(options, cache);
     let summary = flexsnoop_serve::serve_blocking(std::path::Path::new(&args.socket), &service)?;

@@ -981,9 +981,10 @@ impl Simulator {
     /// Events still pending in the scheduler. Zero after
     /// [`run_until`](Self::run_until) means the run is complete and
     /// [`finalize`](Self::finalize) may be called; callers slicing a run
-    /// into preemptible chunks (the sweep service) use this to tell "hit
-    /// the stop cycle" apart from "drained the queue". Note the queue is
-    /// also empty *before* the first `run_until` call primes the cores.
+    /// into bounded chunks (the benchmark's timed slices) use this to
+    /// tell "hit the stop cycle" apart from "drained the queue". Note the
+    /// queue is also empty *before* the first `run_until` call primes the
+    /// cores.
     pub fn pending_events(&self) -> usize {
         self.sched.len()
     }
@@ -3244,7 +3245,7 @@ impl Simulator {
     /// that sink sees only the rest of the run. That is what lets the
     /// differential harness rewind with a [`Timeline`] installed; it is
     /// also why a probe's counts after a restore cover only the resumed
-    /// part, so the sweep service restarts a probed job instead.
+    /// part.
     ///
     /// Call between [`run_until`](Self::run_until) slices. Restoring
     /// ([`Self::restore_snapshot`]) onto a freshly built simulator of the

@@ -170,8 +170,7 @@ pub struct RunStats {
     /// Same-line transaction collisions serialized (squash-and-retry).
     pub collisions: u64,
     /// Discrete events dispatched by the scheduler over the whole run (the
-    /// simulator-throughput denominator reported by `bench`'s `throughput`
-    /// binary).
+    /// denominator of the benchmark's `events_per_s`, see `perfbench/`).
     pub events: u64,
     /// Cache-eviction write-backs of dirty lines.
     pub eviction_writebacks: u64,

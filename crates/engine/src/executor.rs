@@ -301,42 +301,6 @@ impl Default for Executor {
     }
 }
 
-/// A cooperative cancellation flag shared between a controller and the
-/// tasks it scheduled.
-///
-/// Cancellation is advisory: a task observes
-/// [`is_cancelled`](CancelToken::is_cancelled) at its own safe points (e.g. between
-/// `run_until` slices of a simulation) and winds down cleanly — typically
-/// by checkpointing its progress so a later run can resume. Cloning the
-/// token shares the flag; [`reset`](CancelToken::reset) re-arms it for
-/// the next round.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation; every clone of this token observes it.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-
-    /// Clears the flag so the token can gate another round of work.
-    pub fn reset(&self) {
-        self.flag.store(false, Ordering::SeqCst);
-    }
-}
-
 /// What the shared service queue holds: erased, one-shot task closures.
 type ServiceTask = Box<dyn FnOnce() + Send + 'static>;
 
@@ -413,11 +377,6 @@ impl ExecutorService {
         Self { shared, workers }
     }
 
-    /// A pool sized like this executor (see [`Executor::threads`]).
-    pub fn from_executor(exec: &Executor) -> Self {
-        Self::start(exec.threads())
-    }
-
     /// Enqueues one task; a parked worker picks it up.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
         lock_ignore_poison(&self.shared.queue).push_back(Box::new(task));
@@ -427,11 +386,6 @@ impl ExecutorService {
     /// Tasks queued but not yet claimed by a worker.
     pub fn queued(&self) -> usize {
         lock_ignore_poison(&self.shared.queue).len()
-    }
-
-    /// The number of workers in the pool.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Drains every task already queued, then joins the workers.
@@ -631,17 +585,6 @@ mod tests {
             let out = Executor::new(4).run(tasks);
             assert_eq!(out.len(), n);
         }
-    }
-
-    #[test]
-    fn cancel_token_is_shared_and_resettable() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        assert!(!token.is_cancelled());
-        clone.cancel();
-        assert!(token.is_cancelled() && clone.is_cancelled());
-        token.reset();
-        assert!(!clone.is_cancelled());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod rng;
 pub mod snap;
 pub mod time;
 
-pub use executor::{CancelToken, Executor, ExecutorService, ExecutorStats, WorkerStats};
+pub use executor::{Executor, ExecutorService, ExecutorStats, WorkerStats};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use queue::{EventQueue, QueueKind};
 pub use resource::Resource;

@@ -39,7 +39,7 @@ use std::time::Instant;
 use flexsnoop::probe::ProbeReport;
 use flexsnoop::{Algorithm, FaultPlan, Simulator, StallWindow, TimeoutPolicy};
 use flexsnoop_bench::sweeps::{
-    figure10_cases, figure10_sweep_on, figure11_accuracy_on, figure11_configs, render_table1,
+    figure10_cases, figure10_sweep, figure11_accuracy, figure11_configs, render_table1,
     render_table3, table1_rows, table3_rows,
 };
 use flexsnoop_bench::{
@@ -76,8 +76,9 @@ impl ReportScale {
         }
     }
 
-    /// The full paper scale (`FIGURE_ACCESSES` for the figures, the
-    /// bench targets' historical scales for the tables).
+    /// The full paper scale (`FIGURE_ACCESSES` for the figures; 4,000
+    /// and 8,000 accesses per core for Tables 1 and 3, the scales
+    /// EXPERIMENTS.md reports).
     pub fn full() -> Self {
         Self {
             figure_accesses: flexsnoop_bench::FIGURE_ACCESSES,
@@ -397,8 +398,7 @@ pub fn generate(opts: &ReportOptions) -> GeneratedReport {
         Table::with_columns(&["algorithm", "predictor", "SPLASH-2", "SPECjbb", "SPECweb"]);
     let mut f10_rows = Vec::new();
     for (algorithm, configs) in figure10_cases() {
-        for (name, groups) in
-            figure10_sweep_on(&workloads, algorithm, configs, scale.figure_accesses)
+        for (name, groups) in figure10_sweep(&workloads, algorithm, configs, scale.figure_accesses)
         {
             let get = |key: &str| {
                 groups
@@ -448,8 +448,7 @@ pub fn generate(opts: &ReportOptions) -> GeneratedReport {
     let mut t11 = Table::with_columns(&["predictor", "group", "TP", "TN", "FP", "FN"]);
     let mut f11_rows = Vec::new();
     for (name, algorithm, spec) in figure11_configs() {
-        for (group, acc) in figure11_accuracy_on(&workloads, algorithm, spec, scale.figure_accesses)
-        {
+        for (group, acc) in figure11_accuracy(&workloads, algorithm, spec, scale.figure_accesses) {
             t11.row(vec![
                 name.to_string(),
                 group.to_string(),

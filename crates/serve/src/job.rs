@@ -194,8 +194,8 @@ impl SweepRequest {
     ///
     /// # Errors
     ///
-    /// Returns a message on an unknown key, an unparsable number, or a
-    /// request with no workloads/algorithms.
+    /// Returns a message on an unknown key, an unparsable number or
+    /// `probe` flag, or a request with no workloads/algorithms.
     pub fn parse_line(line: &str) -> Result<SweepRequest, String> {
         let mut parts = line.split_whitespace();
         match parts.next() {
@@ -214,7 +214,7 @@ impl SweepRequest {
                 "seeds" => req.seeds = split_u64s("seeds", value)?,
                 "nodes" => req.nodes = parse_num("nodes", value)? as usize,
                 "accesses" => req.accesses = parse_num("accesses", value)?,
-                "probe" => req.probe = value == "1" || value == "true",
+                "probe" => req.probe = parse_bool("probe", value)?,
                 other => return Err(format!("unknown sweep option {other:?}")),
             }
         }
@@ -261,6 +261,16 @@ fn split_u64s(key: &str, value: &str) -> Result<Vec<u64>, String> {
         .filter(|s| !s.is_empty())
         .map(|s| parse_num(key, s))
         .collect()
+}
+
+fn parse_bool(key: &str, value: &str) -> Result<bool, String> {
+    match value {
+        "1" | "true" => Ok(true),
+        "0" | "false" => Ok(false),
+        _ => Err(format!(
+            "{key}: expected 0, 1, true or false, got {value:?}"
+        )),
+    }
 }
 
 fn parse_num(key: &str, value: &str) -> Result<u64, String> {
@@ -413,6 +423,9 @@ mod tests {
         assert!(SweepRequest::parse_line("sweep workloads=specjbb").is_err());
         assert!(
             SweepRequest::parse_line("sweep workloads=specjbb algorithms=lazy seeds=x").is_err()
+        );
+        assert!(
+            SweepRequest::parse_line("sweep workloads=specjbb algorithms=lazy probe=yes").is_err()
         );
     }
 

@@ -3,16 +3,15 @@
 //! `flexsnoop serve` turns the batch simulator into a long-lived
 //! service: clients submit sweep requests (a config matrix that expands
 //! into jobs), a scheduler runs them on a persistent worker pool, and
-//! results stream back as newline-delimited JSON. Three layers keep
-//! repeated work off the simulator (DESIGN.md §11):
+//! results stream back as newline-delimited JSON. Each job is one
+//! simulator run; two layers keep repeated work off the simulator
+//! (DESIGN.md §11):
 //!
 //! * a **results cache** keyed on the simulator's configuration
 //!   fingerprint extended with workload, resolved predictor, probe flag
 //!   and seed — resubmitting a sweep re-runs nothing;
 //! * **in-flight dedup** — concurrent submissions of an equal key
-//!   coalesce onto one execution;
-//! * **checkpointed preemption** — running jobs can be parked as PR 7
-//!   snapshots and later resumed bit-identically.
+//!   coalesce onto one execution.
 //!
 //! Everything is built from `std` (threads, channels, Unix sockets);
 //! the crate adds no dependencies beyond the workspace.

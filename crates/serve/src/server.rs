@@ -16,6 +16,8 @@
 //! stream to its `"event":"result"` lines yields bytes identical between
 //! a cold sweep and its warm, fully cached replay. The other request
 //! lines are `ping` (liveness) and `shutdown` (stops the accept loop).
+//! A request line longer than 64 KiB gets an `error` event instead of
+//! being buffered without bound.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -28,6 +30,9 @@ use flexsnoop_metrics::Json;
 
 use crate::job::{JobOutput, SweepRequest};
 use crate::service::{JobEvent, SweepService};
+
+/// The longest request line the server reads, newline included.
+pub(crate) const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// What a server observed over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,16 +106,20 @@ fn handle_connection(
     disconnects: &AtomicU64,
 ) {
     let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
+        Ok(s) => s.take(MAX_REQUEST_BYTES as u64),
         Err(_) => return,
     });
     let mut writer = stream;
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    let mut raw = Vec::new();
+    if reader.read_until(b'\n', &mut raw).is_err() {
         return;
     }
+    // `take` stopped the read at the cap: the line never ended.
+    let too_long = raw.len() == MAX_REQUEST_BYTES && raw.last() != Some(&b'\n');
+    let line = String::from_utf8_lossy(&raw);
     let line = line.trim();
     let reply = match line {
+        _ if too_long => error_line(format!("request line exceeds {MAX_REQUEST_BYTES} bytes")),
         "ping" => event_line(&[("event", Json::str("pong"))]),
         "shutdown" => {
             stop.store(true, Ordering::SeqCst);
@@ -129,21 +138,12 @@ fn handle_connection(
                     disconnects.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                Err(StreamEnd::Request(message)) => event_line(&[
-                    ("event", Json::str("error")),
-                    ("message", Json::str(message)),
-                ]),
+                Err(StreamEnd::Request(message)) => error_line(message),
             }
         }
-        other => event_line(&[
-            ("event", Json::str("error")),
-            (
-                "message",
-                Json::str(format!(
-                    "unknown request {other:?}; try sweep/ping/shutdown"
-                )),
-            ),
-        ]),
+        other => error_line(format!(
+            "unknown request {other:?}; try sweep/ping/shutdown"
+        )),
     };
     let _ = writer.write_all(reply.as_bytes());
 }
@@ -267,6 +267,13 @@ fn event_line(pairs: &[(&str, Json)]) -> String {
     line
 }
 
+fn error_line(message: impl Into<String>) -> String {
+    event_line(&[
+        ("event", Json::str("error")),
+        ("message", Json::str(message)),
+    ])
+}
+
 /// Connects to a serving socket, sends one request line, and returns the
 /// full NDJSON response (the stream is drained to EOF).
 ///
@@ -321,13 +328,7 @@ mod tests {
     #[test]
     fn sweep_over_the_socket_streams_ordered_results_and_caches() {
         let path = socket_path("e2e");
-        let service = SweepService::new(
-            ServiceOptions {
-                threads: 2,
-                slice_cycles: 2_000,
-            },
-            ResultsCache::in_memory(),
-        );
+        let service = SweepService::new(ServiceOptions { threads: 2 }, ResultsCache::in_memory());
         let summary = std::thread::scope(|scope| {
             let server = scope.spawn(|| serve_blocking(&path, &service));
             while !path.exists() {
@@ -372,13 +373,7 @@ mod tests {
     #[test]
     fn client_disconnect_mid_stream_fails_only_that_connection() {
         let path = socket_path("drop");
-        let service = SweepService::new(
-            ServiceOptions {
-                threads: 1,
-                slice_cycles: 2_000,
-            },
-            ResultsCache::in_memory(),
-        );
+        let service = SweepService::new(ServiceOptions { threads: 1 }, ResultsCache::in_memory());
         let summary = std::thread::scope(|scope| {
             let server = scope.spawn(|| serve_blocking(&path, &service));
             while !path.exists() {
@@ -414,13 +409,7 @@ mod tests {
     #[test]
     fn malformed_sweeps_report_errors_not_hangs() {
         let path = socket_path("err");
-        let service = SweepService::new(
-            ServiceOptions {
-                threads: 1,
-                slice_cycles: 2_000,
-            },
-            ResultsCache::in_memory(),
-        );
+        let service = SweepService::new(ServiceOptions { threads: 1 }, ResultsCache::in_memory());
         std::thread::scope(|scope| {
             let server = scope.spawn(|| serve_blocking(&path, &service));
             while !path.exists() {
@@ -431,5 +420,38 @@ mod tests {
             request_shutdown(&path).unwrap();
             server.join().unwrap().unwrap();
         });
+    }
+
+    #[test]
+    fn over_long_request_lines_get_an_error_and_serving_continues() {
+        let path = socket_path("long");
+        let service = SweepService::new(ServiceOptions { threads: 1 }, ResultsCache::in_memory());
+        // Assert only after the server has shut down, so a failure
+        // fails the test instead of leaving the scope joined on a
+        // server that never stops.
+        let (reply, pong) = std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_blocking(&path, &service));
+            while !path.exists() {
+                std::thread::yield_now();
+            }
+            // One byte past the cap, no newline, write side left open:
+            // the server must answer at the cap, not wait for the line
+            // to end.
+            let mut s = UnixStream::connect(&path).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+            let _ = s.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]);
+            // The unread byte makes the close a reset after the reply,
+            // so the read may end in an error; the reply is still there.
+            let mut reply = String::new();
+            let _ = s.read_to_string(&mut reply);
+            drop(s);
+            let pong = request(&path, "ping");
+            request_shutdown(&path).unwrap();
+            server.join().unwrap().unwrap();
+            (reply, pong)
+        });
+        assert!(reply.starts_with("{\"event\": \"error\""), "{reply}");
+        assert!(reply.contains(&MAX_REQUEST_BYTES.to_string()), "{reply}");
+        assert!(pong.unwrap().contains("pong"));
     }
 }

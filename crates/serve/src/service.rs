@@ -1,53 +1,40 @@
 //! The sweep scheduler: queue → dedup → executor → cache.
 //!
 //! [`SweepService`] expands a [`SweepRequest`] into jobs and runs them on
-//! a persistent worker pool ([`ExecutorService`]). Three mechanisms keep
+//! a persistent worker pool ([`ExecutorService`]); each job is one
+//! [`Simulator::run`](flexsnoop::Simulator::run). Two mechanisms keep
 //! repeated work off the simulator:
 //!
 //! * **Results cache** — a finished job's sealed bytes are stored under
 //!   its [`JobKey`]; an equal key on any later submission is answered
 //!   without running the simulator at all.
 //! * **In-flight dedup** — concurrent submissions of an equal key
-//!   *coalesce*: one execution, every waiter gets the bytes.
-//! * **Checkpointed preemption** — [`preempt`](SweepService::preempt)
-//!   makes running jobs park a [snapshot](flexsnoop::Simulator::save_snapshot)
-//!   between event slices; [`resume_preempted`](SweepService::resume_preempted)
-//!   restores and continues them bit-identically (the PR 7 guarantee).
+//!   *coalesce*: one execution, every waiter gets the bytes. The
+//!   admission gate ([`hold`](SweepService::hold) /
+//!   [`release`](SweepService::release)) holds queued jobs back so tests
+//!   can land duplicates while a job is still in flight.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use flexsnoop_engine::{executor, CancelToken, Cycle, ExecutorService};
+use flexsnoop_engine::{executor, ExecutorService};
 
 use crate::cache::{CacheStats, ResultsCache};
 use crate::job::{JobKey, JobOutput, JobSpec, SweepRequest};
 
 /// Tuning knobs for a [`SweepService`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceOptions {
     /// Worker threads (0 = the machine default, same policy as the
     /// batch executor).
     pub threads: usize,
-    /// Cycles simulated between preemption checks; smaller slices
-    /// preempt faster but check the flag more often.
-    pub slice_cycles: u64,
-}
-
-impl Default for ServiceOptions {
-    fn default() -> Self {
-        ServiceOptions {
-            threads: 0,
-            slice_cycles: 25_000,
-        }
-    }
 }
 
 /// Where a job's lifecycle currently stands (the state machine of
 /// DESIGN.md §11): `Queued → Running → Done/Failed`, with `Cached`
-/// short-circuiting straight from `Queued`, and preemption looping
-/// `Running → Queued`.
+/// short-circuiting straight from `Queued`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Accepted, not yet on a worker.
@@ -232,10 +219,6 @@ pub struct ServiceStats {
     pub executed: u64,
     /// Submissions answered by an in-flight execution of an equal key.
     pub coalesced: u64,
-    /// Preemptions that parked a checkpoint (or an unstarted job).
-    pub preempted: u64,
-    /// Parked jobs resumed from a checkpoint.
-    pub resumed: u64,
     /// Jobs that failed.
     pub failed: u64,
     /// Results-cache counters.
@@ -278,16 +261,10 @@ impl Gate {
 #[derive(Debug, Default)]
 struct Inner {
     in_flight: Mutex<HashMap<JobKey, Vec<Waiter>>>,
-    checkpoints: Mutex<HashMap<JobKey, Vec<u8>>>,
-    parked: Mutex<Vec<(JobKey, JobSpec)>>,
     gate: Gate,
-    cancel: CancelToken,
     executed: AtomicU64,
     coalesced: AtomicU64,
-    preempted: AtomicU64,
-    resumed: AtomicU64,
     failed: AtomicU64,
-    slice_cycles: u64,
 }
 
 /// The sweep scheduler; see the [module docs](self).
@@ -309,10 +286,7 @@ impl SweepService {
         SweepService {
             pool: ExecutorService::start(threads),
             cache: Arc::new(cache),
-            inner: Arc::new(Inner {
-                slice_cycles: options.slice_cycles.max(1),
-                ..Inner::default()
-            }),
+            inner: Arc::new(Inner::default()),
         }
     }
 
@@ -389,8 +363,7 @@ impl SweepService {
     }
 
     /// Closes the admission gate: queued jobs wait before touching the
-    /// simulator. Running jobs are unaffected (use
-    /// [`preempt`](Self::preempt) for those).
+    /// simulator. Running jobs are unaffected.
     pub fn hold(&self) {
         self.inner.gate.set(true);
     }
@@ -400,39 +373,11 @@ impl SweepService {
         self.inner.gate.set(false);
     }
 
-    /// Asks every running job to park a checkpoint at its next slice
-    /// boundary (and unstarted jobs to park immediately). Parked jobs
-    /// stay parked — waiters keep waiting — until
-    /// [`resume_preempted`](Self::resume_preempted).
-    pub fn preempt(&self) {
-        self.inner.cancel.cancel();
-    }
-
-    /// Jobs currently parked by preemption.
-    pub fn parked_jobs(&self) -> usize {
-        lock(&self.inner.parked).len()
-    }
-
-    /// Clears the preemption flag and reschedules every parked job;
-    /// checkpointed ones restore and continue bit-identically. Returns
-    /// how many were rescheduled.
-    pub fn resume_preempted(&self) -> usize {
-        self.inner.cancel.reset();
-        let parked: Vec<(JobKey, JobSpec)> = lock(&self.inner.parked).drain(..).collect();
-        let count = parked.len();
-        for (key, spec) in parked {
-            self.schedule(key, spec);
-        }
-        count
-    }
-
     /// The scheduler counters so far.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             executed: self.inner.executed.load(Ordering::Relaxed),
             coalesced: self.inner.coalesced.load(Ordering::Relaxed),
-            preempted: self.inner.preempted.load(Ordering::Relaxed),
-            resumed: self.inner.resumed.load(Ordering::Relaxed),
             failed: self.inner.failed.load(Ordering::Relaxed),
             cache: self.cache.stats(),
         }
@@ -453,90 +398,48 @@ impl Drop for SweepService {
     }
 }
 
-/// Executes one job on a worker: gate, preemption slices, finalize,
-/// publish, notify. Runs with the in-flight entry for `key` owned by
-/// this invocation.
+/// Executes one job on a worker: gate, one `sim.run()`, coherence
+/// check, publish, notify. Runs with the in-flight entry for `key` owned
+/// by this invocation.
 fn run_job(inner: &Inner, cache: &ResultsCache, key: JobKey, spec: JobSpec) {
     inner.gate.wait_open();
-    if inner.cancel.is_cancelled() {
-        park(inner, key, spec, None);
-        return;
-    }
     notify_waiters(inner, key, JobState::Running);
     let mut sim = match spec.build() {
         Ok(sim) => sim,
         Err(e) => return fail(inner, key, e),
     };
-    if let Some(snapshot) = lock(&inner.checkpoints).remove(&key) {
-        if let Err(e) = sim.restore_snapshot(&snapshot) {
-            return fail(inner, key, format!("checkpoint restore: {e}"));
-        }
-        inner.resumed.fetch_add(1, Ordering::Relaxed);
-    }
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut stop = inner.slice_cycles;
-        loop {
-            let reached = sim.run_until(Some(Cycle::new(stop)));
-            if sim.pending_events() == 0 {
-                break;
-            }
-            if inner.cancel.is_cancelled() {
-                return None;
-            }
-            stop = reached.as_u64() + inner.slice_cycles;
-        }
-        let stats = sim.finalize();
-        let probe = sim.probe_report();
-        Some((stats, probe))
+        let stats = sim.run();
+        (stats, sim.probe_report())
     }));
-    match outcome {
-        Err(_) => fail(inner, key, "job panicked in the simulator".to_string()),
-        Ok(None) => {
-            // Preempted mid-run: park a checkpoint and hand the job back
-            // to the queue (a later resume parks a fresh one in turn). A
-            // snapshot leaves the probe out, so a probed job resumed from
-            // one would publish counters of only its second half under
-            // the whole run's key: it restarts from cycle 0 instead.
-            let snapshot = (!spec.probe).then(|| sim.save_snapshot());
-            park(inner, key, spec, snapshot);
-        }
-        Ok(Some((stats, probe))) => {
-            if let Err(e) = sim.validate_coherence() {
-                return fail(inner, key, format!("coherence check: {e}"));
-            }
-            let bytes = Arc::new(JobOutput { stats, probe }.encode());
-            // Publish before clearing in-flight (see `submit`).
-            cache.put(key, Arc::clone(&bytes));
-            inner.executed.fetch_add(1, Ordering::Relaxed);
-            let waiters = lock(&inner.in_flight).remove(&key).unwrap_or_default();
-            for w in waiters {
-                let _ = w.tx.send(JobEvent::Status {
-                    index: w.index,
-                    key,
-                    state: JobState::Done,
-                });
-                let _ = w.tx.send(JobEvent::Result {
-                    index: w.index,
-                    key,
-                    bytes: Arc::clone(&bytes),
-                    source: if w.coalesced {
-                        ResultSource::Coalesced
-                    } else {
-                        ResultSource::Computed
-                    },
-                });
-            }
-        }
+    let Ok((stats, probe)) = outcome else {
+        return fail(inner, key, "job panicked in the simulator".to_string());
+    };
+    if let Err(e) = sim.validate_coherence() {
+        return fail(inner, key, format!("coherence check: {e}"));
     }
-}
-
-fn park(inner: &Inner, key: JobKey, spec: JobSpec, snapshot: Option<Vec<u8>>) {
-    if let Some(snapshot) = snapshot {
-        lock(&inner.checkpoints).insert(key, snapshot);
+    let bytes = Arc::new(JobOutput { stats, probe }.encode());
+    // Publish before clearing in-flight (see `submit`).
+    cache.put(key, Arc::clone(&bytes));
+    inner.executed.fetch_add(1, Ordering::Relaxed);
+    let waiters = lock(&inner.in_flight).remove(&key).unwrap_or_default();
+    for w in waiters {
+        let _ = w.tx.send(JobEvent::Status {
+            index: w.index,
+            key,
+            state: JobState::Done,
+        });
+        let _ = w.tx.send(JobEvent::Result {
+            index: w.index,
+            key,
+            bytes: Arc::clone(&bytes),
+            source: if w.coalesced {
+                ResultSource::Coalesced
+            } else {
+                ResultSource::Computed
+            },
+        });
     }
-    lock(&inner.parked).push((key, spec));
-    inner.preempted.fetch_add(1, Ordering::Relaxed);
-    notify_waiters(inner, key, JobState::Queued);
 }
 
 fn fail(inner: &Inner, key: JobKey, error: String) {
@@ -589,13 +492,7 @@ mod tests {
     }
 
     fn service() -> SweepService {
-        SweepService::new(
-            ServiceOptions {
-                threads: 2,
-                slice_cycles: 2_000,
-            },
-            ResultsCache::in_memory(),
-        )
+        SweepService::new(ServiceOptions { threads: 2 }, ResultsCache::in_memory())
     }
 
     #[test]
@@ -650,77 +547,6 @@ mod tests {
             out.results[0].as_ref().unwrap().bytes,
             out.results[1].as_ref().unwrap().bytes
         );
-    }
-
-    #[test]
-    fn unstarted_jobs_park_on_preempt_and_resume() {
-        let service = service();
-        service.preempt();
-        let sub = service.submit(&request(&["lazy"], &[9], 60)).unwrap();
-        while service.parked_jobs() == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(service.stats().executed, 0, "nothing ran while preempted");
-        assert_eq!(service.resume_preempted(), 1);
-        assert!(sub.collect().results[0].is_ok());
-        assert_eq!(service.stats().executed, 1);
-    }
-
-    #[test]
-    fn preempted_jobs_resume_to_identical_results() {
-        // A probed job restarts from cycle 0 instead of resuming (its
-        // probe is not in the snapshot); either way the published bytes
-        // must be the uninterrupted run's.
-        for probe in [false, true] {
-            let req = SweepRequest {
-                probe,
-                ..request(&["superset-agg"], &[9], 800)
-            };
-            // Uninterrupted baseline.
-            let baseline = {
-                let service = service();
-                let sub = service.submit(&req).unwrap();
-                sub.collect().results[0].as_ref().unwrap().bytes.clone()
-            };
-            // Tiny slices so a preempt lands mid-run with high probability.
-            let service = SweepService::new(
-                ServiceOptions {
-                    threads: 1,
-                    slice_cycles: 500,
-                },
-                ResultsCache::in_memory(),
-            );
-            let sub = service.submit(&req).unwrap();
-            let mut preempted = false;
-            let mut bytes = None;
-            for event in sub.events.iter() {
-                match event {
-                    JobEvent::Status {
-                        state: JobState::Running,
-                        ..
-                    } if !preempted => {
-                        preempted = true;
-                        service.preempt();
-                        // Wait for the park (or for the run to win the race).
-                        while service.parked_jobs() == 0 && service.stats().executed == 0 {
-                            std::thread::yield_now();
-                        }
-                        service.resume_preempted();
-                    }
-                    JobEvent::Result { bytes: b, .. } => {
-                        bytes = Some(b);
-                        break;
-                    }
-                    JobEvent::Failed { error, .. } => panic!("job failed: {error}"),
-                    _ => {}
-                }
-            }
-            assert_eq!(
-                bytes.expect("job produced no result"),
-                baseline,
-                "probe={probe}: preempted run diverged from the uninterrupted run"
-            );
-        }
     }
 
     #[test]

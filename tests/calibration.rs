@@ -142,3 +142,28 @@ fn execution_gap_is_calibrated() {
         );
     }
 }
+
+/// Figure 9's headline ordering: Superset Agg spends less snoop energy
+/// than Eager (paper: 9–17% less), and Superset Con less than Superset
+/// Agg (paper: 36–42% less), at the scale `execution_gap_is_calibrated`
+/// uses.
+#[test]
+fn energy_ordering_matches_figure_9() {
+    for p in [
+        profiles::splash2_apps().remove(0),
+        profiles::specjbb(),
+        profiles::specweb(),
+    ] {
+        let p = p.with_accesses(4_000);
+        let energy = |algorithm| run_workload(&p, algorithm, None, SEED).unwrap().energy_nj();
+        let eager = energy(Algorithm::Eager);
+        let agg = energy(Algorithm::SupersetAgg);
+        let con = energy(Algorithm::SupersetCon);
+        assert!(
+            eager > agg && agg > con,
+            "{}: energy must fall Eager > SupersetAgg > SupersetCon, got \
+             {eager:.0} / {agg:.0} / {con:.0} nJ",
+            p.name
+        );
+    }
+}

@@ -1,7 +1,8 @@
 //! Microbenchmarks for the million-node scaling substrate: event-queue
-//! push/pop throughput per `QueueKind`, unbounded and through the bounded
-//! run loop's `pop_before`, and struct-of-arrays node-state access (the
-//! flat predictor bank and a full tiny-cache scale machine).
+//! push/pop throughput per `QueueKind` (unbounded, under same-cycle
+//! bursts, and through the bounded run loop's `pop_before`), and
+//! struct-of-arrays node-state access (the flat predictor bank and a full
+//! tiny-cache scale machine).
 //!
 //! Macro numbers (events/sec, bytes/node at 1k/128k/1M nodes) come from
 //! `flexsnoop bench --scale`; these benches isolate the data structures
@@ -33,6 +34,49 @@ fn scheduler_push_pop(kind: QueueKind) -> u64 {
         let (_, ev) = sched.pop().expect("the hold model never drains");
         sum = sum.wrapping_add(ev);
         sched.schedule_in(Cycles(1 + rng.next_u64() % 256), ev);
+    }
+    sum
+}
+
+/// Same-cycle events per burst in the burst bench: every core of a
+/// 512-node ring issuing at once.
+const BURST: u64 = 512;
+
+/// Cycles between bursts: one near-wheel rotation.
+const BURST_EVERY: Cycles = Cycles(4_096);
+
+/// Bursts per burst-bench run.
+const BURSTS: u64 = 8;
+
+/// The hold model plus a `BURST`-event same-cycle burst every
+/// `BURST_EVERY` cycles. Burst events are not re-armed; when a burst
+/// starts to pop, the next one is pushed a rotation out, past the
+/// bucketed queue's near wheel. Runs until `BURSTS` bursts have started.
+fn scheduler_burst(kind: QueueKind) -> u64 {
+    let mut sched: Scheduler<u64> = Scheduler::with_queue(kind);
+    let mut rng = SplitMix64::new(0xFEED);
+    for i in 0..PENDING {
+        sched.schedule_in(Cycles(rng.next_u64() % 256), i);
+    }
+    let burst = |sched: &mut Scheduler<u64>, at: Cycle| {
+        for i in 0..BURST {
+            sched.schedule_at(at, PENDING + i);
+        }
+    };
+    let mut next = Cycle::ZERO + BURST_EVERY;
+    burst(&mut sched, next);
+    let mut sum = 0u64;
+    let mut bursts = 0;
+    while bursts < BURSTS {
+        let (now, ev) = sched.pop().expect("the hold model never drains");
+        sum = sum.wrapping_add(ev);
+        if ev < PENDING {
+            sched.schedule_in(Cycles(1 + rng.next_u64() % 256), ev);
+        } else if now == next {
+            bursts += 1;
+            next += BURST_EVERY;
+            burst(&mut sched, next);
+        }
     }
     sum
 }
@@ -131,6 +175,9 @@ fn bench(c: &mut Criterion) {
     for (kind, name) in [(QueueKind::Heap, "heap"), (QueueKind::Bucketed, "bucketed")] {
         group.bench_function(format!("scheduler_push_pop_{name}"), |b| {
             b.iter(|| black_box(scheduler_push_pop(kind)))
+        });
+        group.bench_function(format!("scheduler_burst_{name}"), |b| {
+            b.iter(|| black_box(scheduler_burst(kind)))
         });
         group.bench_function(format!("scheduler_bounded_pop_{name}"), |b| {
             b.iter(|| black_box(scheduler_bounded_pop(kind)))

@@ -108,7 +108,7 @@ struct LineCopies {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryFootprint {
     /// Total estimated bytes across caches, predictors, filters, network
-    /// link FIFOs, ports and the dynamic protocol maps.
+    /// link FIFOs, ports, the event queue and the dynamic protocol maps.
     pub total_bytes: u64,
     /// `total_bytes / nodes` — the scaling figure `bench --scale` tracks.
     pub bytes_per_node: u64,
@@ -771,10 +771,11 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation has already started.
+    /// Panics if the simulation has already started, even if its queue
+    /// has drained: a fresh scheduler would restart the clock at zero.
     pub fn use_event_queue(&mut self, kind: QueueKind) {
         assert!(
-            !self.finished && self.sched.is_empty(),
+            !self.started && self.sched.is_empty(),
             "use_event_queue() must be called before run()"
         );
         self.sched = Scheduler::with_queue(kind);
@@ -3103,9 +3104,10 @@ impl Simulator {
 
     /// Estimates the heap footprint of the model state: caches,
     /// predictors, presence filters, ring/torus link FIFOs, per-node
-    /// ports, and the dynamic protocol maps at their current capacity. An
-    /// estimate (not an allocator census) — `bench --scale` reports it as
-    /// bytes/node to track how per-node cost grows with ring size.
+    /// ports, the event queue, and the dynamic protocol maps at their
+    /// current capacity. An estimate (not an allocator census) — `bench
+    /// --scale` reports it as bytes/node to track how per-node cost grows
+    /// with ring size.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         let caches: u64 = self.cmps.iter().map(|c| c.footprint_bytes()).sum();
         let presence: u64 = self
@@ -3126,7 +3128,8 @@ impl Simulator {
             + locality
             + self.predictors.footprint_bytes()
             + self.ring.footprint_bytes()
-            + self.torus.footprint_bytes();
+            + self.torus.footprint_bytes()
+            + self.sched.footprint_bytes();
         MemoryFootprint {
             total_bytes: total,
             bytes_per_node: total / self.cfg.nodes.max(1) as u64,

@@ -121,6 +121,16 @@ impl<E> Scheduler<E> {
         self.len() == 0
     }
 
+    /// Estimated bytes the backing queue holds at its current capacity
+    /// ([`EventQueue::footprint_bytes`],
+    /// [`queue::BucketQueue::footprint_bytes`]).
+    pub fn footprint_bytes(&self) -> u64 {
+        match &self.queue {
+            AnyQueue::Heap(q) => q.footprint_bytes(),
+            AnyQueue::Bucketed(q) => q.footprint_bytes(),
+        }
+    }
+
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics

@@ -8,14 +8,16 @@
 //!   near-monotonic schedules a discrete-event simulator produces (almost
 //!   every event lands within a few hundred cycles of "now"); O(1)
 //!   push/pop for in-horizon events, with a heap fallback for far-future
-//!   ones.
+//!   ones. Near-wheel events live in one slab, so its storage follows
+//!   the number of pending events.
 //!
 //! Both order events by `(time, insertion sequence)`, so simulations are
 //! bit-for-bit reproducible whichever queue backs the [`crate::Scheduler`]
 //! — a property pinned by the determinism regression tests.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
+use std::mem::size_of;
 
 use crate::time::Cycle;
 
@@ -134,6 +136,12 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+
+    /// Estimated bytes the queue holds: the binary heap at its current
+    /// capacity.
+    pub fn footprint_bytes(&self) -> u64 {
+        (self.heap.capacity() * size_of::<Entry<E>>()) as u64
+    }
 }
 
 /// Near-wheel span in cycles. Ring hops, snoops and cache round-trips are
@@ -150,6 +158,25 @@ const FAR_BUCKETS: u64 = 4096;
 /// Total horizon the two wheels cover before the heap fallback engages.
 const FAR_SPAN: u64 = WHEEL * FAR_BUCKETS;
 
+/// Near-wheel bucket count, as an array length.
+const NEAR: usize = WHEEL as usize;
+
+/// 64-bit words in the near wheel's occupancy bitmap.
+const WORDS: usize = NEAR / 64;
+
+/// End of a slab list: an empty bucket's head, or the last slot's link.
+const NIL: u32 = u32::MAX;
+
+/// One near-wheel event in the slab, linked to the next slot of its
+/// bucket's FIFO or, once freed, of the free list.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    seq: u64,
+    next: u32,
+    /// `None` while the slot is on the free list.
+    event: Option<E>,
+}
+
 /// A hierarchical timing-wheel event queue with a heap fallback for events
 /// beyond both wheel horizons.
 ///
@@ -161,18 +188,35 @@ const FAR_SPAN: u64 = WHEEL * FAR_BUCKETS;
 /// heap top by `(time, insertion sequence)`, so the pop order is identical
 /// to [`EventQueue`]'s.
 ///
+/// Near buckets own no storage: every near event sits in one slab, and a
+/// bucket is a FIFO list threaded through it by index. Near-wheel memory
+/// therefore follows the most events ever pending at once, not `WHEEL`
+/// times the deepest burst each bucket has seen.
+///
 /// **Contract:** pushes must not be earlier than the last popped time
 /// (enforced by [`crate::Scheduler`], which never schedules in the past).
 /// This is what lets the wheels advance monotonic cursors instead of
 /// re-scanning.
 #[derive(Debug, Clone)]
 pub struct BucketQueue<E> {
-    /// `WHEEL` per-cycle buckets, indexed by `time % WHEEL`; each bucket
-    /// holds the events of exactly one timestamp, in insertion order.
-    /// Near entries lie in `[cursor, far_start)`, and the push/pop
-    /// invariant `far_start - cursor <= WHEEL` keeps the mapping
-    /// injective (at most one timestamp per bucket).
-    near: Vec<VecDeque<(u64, E)>>,
+    /// Every near-wheel event. Freed slots go on a LIFO free list headed
+    /// by `free` and are reused before the slab grows, so its length is
+    /// the most near events ever pending at once.
+    slots: Vec<Slot<E>>,
+    /// First slot of the free list, or `NIL`.
+    free: u32,
+    /// `WHEEL` per-cycle buckets, indexed by `time % WHEEL`: the first
+    /// and last slot of a FIFO list holding the events of exactly one
+    /// timestamp, in insertion order. A bucket is empty when its head is
+    /// `NIL`; its tail is stale then. Near entries lie in
+    /// `[cursor, far_start)`, and the push/pop invariant
+    /// `far_start - cursor <= WHEEL` keeps the mapping injective (at most
+    /// one timestamp per bucket).
+    heads: Box<[u32; NEAR]>,
+    tails: Box<[u32; NEAR]>,
+    /// Bit `b % 64` of word `b / 64` is set while near bucket `b` is
+    /// non-empty.
+    occupied: Box<[u64; WORDS]>,
     /// `FAR_BUCKETS` buckets of `WHEEL` cycles each, indexed by
     /// `(time / WHEEL) % FAR_BUCKETS`; entries are *not* time-sorted
     /// within a bucket (they carry their timestamp) and cascade into the
@@ -203,7 +247,11 @@ impl<E> BucketQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
-            near: (0..WHEEL).map(|_| VecDeque::new()).collect(),
+            slots: Vec::new(),
+            free: NIL,
+            heads: Box::new([NIL; NEAR]),
+            tails: Box::new([NIL; NEAR]),
+            occupied: Box::new([0; WORDS]),
             far: (0..FAR_BUCKETS).map(|_| Vec::new()).collect(),
             cursor: 0,
             far_start: WHEEL,
@@ -243,8 +291,7 @@ impl<E> BucketQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         if t < self.far_start {
-            self.near[Self::near_index(t)].push_back((seq, event));
-            self.in_near += 1;
+            self.near_push(Self::near_index(t), seq, event);
         } else if t < self.far_start + FAR_SPAN {
             self.far[Self::far_index(t)].push((t, seq, event));
             self.in_far += 1;
@@ -253,24 +300,82 @@ impl<E> BucketQueue<E> {
         }
     }
 
-    /// Time of the earliest non-empty near bucket, scanning forward from
-    /// the cursor. `None` when the near wheel is empty.
+    /// Appends an entry to the FIFO of near bucket `b`, in a recycled
+    /// slot if one is free.
+    #[inline]
+    fn near_push(&mut self, b: usize, seq: u64, event: E) {
+        let slot = Slot {
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        let idx = if self.free == NIL {
+            let idx = self.slots.len();
+            assert!(idx < NIL as usize, "near wheel slab full");
+            self.slots.push(slot);
+            idx as u32
+        } else {
+            let idx = self.free;
+            let reused = &mut self.slots[idx as usize];
+            self.free = reused.next;
+            *reused = slot;
+            idx
+        };
+        if self.heads[b] == NIL {
+            self.heads[b] = idx;
+            self.occupied[b / 64] |= 1 << (b % 64);
+        } else {
+            self.slots[self.tails[b] as usize].next = idx;
+        }
+        self.tails[b] = idx;
+        self.in_near += 1;
+    }
+
+    /// Removes the first entry of non-empty near bucket `b` and puts its
+    /// slot on the free list.
+    #[inline]
+    fn near_pop(&mut self, b: usize) -> E {
+        let idx = self.heads[b];
+        let slot = &mut self.slots[idx as usize];
+        let event = slot.event.take().expect("bucket head holds an event");
+        self.heads[b] = slot.next;
+        slot.next = self.free;
+        self.free = idx;
+        if self.heads[b] == NIL {
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
+        self.in_near -= 1;
+        event
+    }
+
+    /// Time of the earliest non-empty near bucket: the first occupancy
+    /// bit at or after the cursor's bucket. `None` when the near wheel is
+    /// empty.
     #[inline]
     fn earliest_near_time(&self) -> Option<u64> {
         if self.in_near == 0 {
             return None;
         }
-        // All near entries lie in [cursor, far_start), so the scan finds
-        // one within WHEEL steps; the cursor's monotonic advance makes the
-        // amortized cost O(1) per simulated cycle.
-        let mut t = self.cursor;
-        loop {
-            if !self.near[Self::near_index(t)].is_empty() {
-                return Some(t);
-            }
-            t += 1;
-            debug_assert!(t < self.cursor + WHEEL, "near wheel count out of sync");
+        // Near entries lie in [cursor, far_start), and far_start is the
+        // end of the cursor's WHEEL-aligned block, so their buckets run
+        // from the cursor's to the last one without wrapping around.
+        debug_assert!(
+            self.far_start.is_multiple_of(WHEEL) && self.far_start - self.cursor <= WHEEL
+        );
+        let from = Self::near_index(self.cursor);
+        let ahead = self.occupied[from / 64] >> (from % 64);
+        if ahead != 0 {
+            return Some(self.cursor + u64::from(ahead.trailing_zeros()));
         }
+        let (w, bits) = self
+            .occupied
+            .iter()
+            .enumerate()
+            .skip(from / 64 + 1)
+            .find(|&(_, &bits)| bits != 0)
+            .expect("near wheel count out of sync");
+        let b = w * 64 + bits.trailing_zeros() as usize;
+        Some(self.cursor + (b - from) as u64)
     }
 
     /// Cascades far buckets into the near wheel until the near wheel is
@@ -293,10 +398,9 @@ impl<E> BucketQueue<E> {
             self.far_start += WHEEL;
             let drained = std::mem::take(&mut self.far[idx]);
             self.in_far -= drained.len();
-            self.in_near += drained.len();
             for (t, seq, event) in drained {
                 debug_assert!(t >= self.cursor && t < self.far_start);
-                self.near[Self::near_index(t)].push_back((seq, event));
+                self.near_push(Self::near_index(t), seq, event);
             }
         }
     }
@@ -317,7 +421,7 @@ impl<E> BucketQueue<E> {
             (Some(t), None) => Some((t, true)),
             (None, Some(top)) => Some((top.time.as_u64(), false)),
             (Some(wt), Some(top)) => {
-                let wseq = self.near[Self::near_index(wt)][0].0;
+                let wseq = self.slots[self.heads[Self::near_index(wt)] as usize].seq;
                 if (wt, wseq) < (top.time.as_u64(), top.seq) {
                     Some((wt, true))
                 } else {
@@ -331,10 +435,7 @@ impl<E> BucketQueue<E> {
     #[inline]
     fn take(&mut self, t: u64, from_wheel: bool) -> (Cycle, E) {
         if from_wheel {
-            let (_, event) = self.near[Self::near_index(t)]
-                .pop_front()
-                .expect("bucket non-empty");
-            self.in_near -= 1;
+            let event = self.near_pop(Self::near_index(t));
             self.cursor = t;
             (Cycle::new(t), event)
         } else {
@@ -430,6 +531,23 @@ impl<E> BucketQueue<E> {
     /// Events currently in the far wheel.
     pub fn far_len(&self) -> usize {
         self.in_far
+    }
+
+    /// Estimated bytes the queue holds at its current capacities: the
+    /// slab, the near buckets' head and tail arrays and bitmap, the far
+    /// wheel and the overflow heap. Beyond the fixed arrays this follows
+    /// the pending events: the slab is as long as the most near events
+    /// ever pending at once, and a far bucket frees its storage when it
+    /// cascades.
+    pub fn footprint_bytes(&self) -> u64 {
+        let near = self.slots.capacity() * size_of::<Slot<E>>()
+            + 2 * size_of::<[u32; NEAR]>()
+            + size_of::<[u64; WORDS]>();
+        let far_entries: usize = self.far.iter().map(Vec::capacity).sum();
+        let far = self.far.capacity() * size_of::<Vec<(u64, u64, E)>>()
+            + far_entries * size_of::<(u64, u64, E)>();
+        let overflow = self.overflow.capacity() * size_of::<Entry<E>>();
+        (near + far + overflow) as u64
     }
 }
 
@@ -773,6 +891,90 @@ mod tests {
             }
             assert_eq!(wheel.pop(), None);
         }
+    }
+
+    /// A 48-byte payload, the size of the simulator's `Event`.
+    type Payload = [u64; 6];
+
+    /// Pushes one burst at `times` into both queues, then drains both in
+    /// lockstep. Checks that every pop matches and that the wheel's
+    /// footprint stays within `bound` when full and when drained.
+    /// Returns the clock after the drain.
+    fn burst(
+        heap: &mut EventQueue<Payload>,
+        wheel: &mut BucketQueue<Payload>,
+        times: impl Iterator<Item = u64>,
+        id: &mut u64,
+        bound: u64,
+    ) -> u64 {
+        for t in times {
+            heap.push(Cycle::new(t), [*id; 6]);
+            wheel.push(Cycle::new(t), [*id; 6]);
+            *id += 1;
+        }
+        let full = wheel.footprint_bytes();
+        assert!(
+            full <= bound,
+            "{full} B with the burst pending, bound {bound} B"
+        );
+        let mut now = 0;
+        loop {
+            let a = heap.pop();
+            assert_eq!(a, wheel.pop(), "burst ending before id {id}");
+            let Some((t, _)) = a else { break };
+            now = t.as_u64();
+        }
+        let drained = wheel.footprint_bytes();
+        assert!(
+            drained <= bound,
+            "{drained} B after the drain, bound {bound} B"
+        );
+        now
+    }
+
+    /// Storage follows the pending events under bursts: `WHEEL` bursts of
+    /// `BURST` same-cycle events, one at every near-bucket position, each
+    /// drained before the next is pushed. Even positions are pushed
+    /// straight into the near wheel where the clock allows, odd ones a
+    /// block ahead, so they wait in the far wheel and cascade. Every
+    /// eighth position adds a burst straddling a cascade boundary: half
+    /// on the block's last cycle (near wheel), half on the next block's
+    /// first (far wheel). Buckets that each kept their own capacity would
+    /// end this schedule holding `WHEEL × BURST` entries; the slab keeps
+    /// `BURST` slots.
+    #[test]
+    fn bucket_storage_follows_pending_events_under_bursts() {
+        const BURST: u64 = 256;
+        let fixed = BucketQueue::<Payload>::new().footprint_bytes();
+        let entry = size_of::<Slot<Payload>>().max(size_of::<(u64, u64, Payload)>());
+        let bound = fixed + (entry as u64) * 2 * BURST;
+        let per_bucket_capacity = WHEEL * BURST * size_of::<(u64, Payload)>() as u64;
+        assert!(
+            bound * 100 < per_bucket_capacity,
+            "{bound} B vs {per_bucket_capacity} B"
+        );
+
+        let mut heap = EventQueue::<Payload>::new();
+        let mut wheel = BucketQueue::<Payload>::new();
+        let (mut now, mut id) = (0u64, 0u64);
+        for k in 0..WHEEL {
+            if k % 8 == 4 {
+                let block_end = (now / WHEEL + 1) * WHEEL;
+                let straddle = (0..BURST).map(|i| block_end - 1 + i % 2);
+                now = burst(&mut heap, &mut wheel, straddle, &mut id, bound);
+                assert_eq!(now, block_end);
+            }
+            let mut t = now / WHEEL * WHEEL + k;
+            if k % 2 == 1 || t < now {
+                t += WHEEL;
+            }
+            let same_cycle = std::iter::repeat_n(t, BURST as usize);
+            now = burst(&mut heap, &mut wheel, same_cycle, &mut id, bound);
+            assert_eq!(now, t);
+        }
+        assert!(wheel.is_empty());
+        assert_eq!(wheel.overflow_len(), 0);
+        assert_eq!(wheel.slots.len() as u64, BURST, "slab grew past the peak");
     }
 
     /// The two queues must pop identically on a randomized near-monotonic

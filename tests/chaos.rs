@@ -8,7 +8,7 @@
 //! cargo test --release --test chaos -- --ignored
 //! ```
 
-use flexsnoop::{Algorithm, FaultPlan, RunStats, Simulator};
+use flexsnoop::{Algorithm, FaultPlan, ProbeReport, RunStats, Simulator};
 use flexsnoop_checker::{run_chaos, ChaosOptions};
 use flexsnoop_engine::executor::set_default_threads;
 use flexsnoop_engine::QueueKind;
@@ -18,11 +18,7 @@ const SEED: u64 = 20060617;
 
 /// One faulted run with probes attached; returns the stats and the probe
 /// counter report so determinism checks cover the observability layer too.
-fn faulted_run(
-    algorithm: Algorithm,
-    plan: &FaultPlan,
-    kind: QueueKind,
-) -> (RunStats, flexsnoop::ProbeReport) {
+fn faulted_run(algorithm: Algorithm, plan: &FaultPlan, kind: QueueKind) -> (RunStats, ProbeReport) {
     let workload = profiles::specjbb().with_accesses(250);
     let mut sim = Simulator::for_workload(&workload, algorithm, None, SEED).expect("valid config");
     sim.use_event_queue(kind);
@@ -55,7 +51,18 @@ fn same_plan_same_seed_is_bit_identical() {
 
         let (bucketed, probe_c) = faulted_run(algorithm, &plan, QueueKind::Bucketed);
         assert_eq!(heap_a, bucketed, "{algorithm}: queue kind changed results");
-        assert_eq!(probe_a, probe_c, "{algorithm}: queue kind changed probes");
+        // The memory footprint counts the event queue's own storage, so
+        // it differs between backends by design; nothing else may.
+        let without_footprint = |p: &ProbeReport| ProbeReport {
+            bytes_per_node: 0,
+            footprint_total_bytes: 0,
+            ..p.clone()
+        };
+        assert_eq!(
+            without_footprint(&probe_a),
+            without_footprint(&probe_c),
+            "{algorithm}: queue kind changed probes"
+        );
 
         set_default_threads(1);
         let (narrow, _) = faulted_run(algorithm, &plan, QueueKind::Heap);

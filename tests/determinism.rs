@@ -66,6 +66,46 @@ fn storm_with_queue(kind: QueueKind, algorithm: Algorithm) -> RunStats {
     stats
 }
 
+/// Every core of a 4,096-node scale ring issues its first read at the
+/// same cycle, so one near-wheel bucket holds 4,096 events. The reads
+/// then circulate in lockstep, so each hop wave again lands thousands of
+/// events on one cycle. A whole run dispatches about 50M events, too many
+/// for a debug-build test, so this runs past the first near-wheel
+/// rotation and stops. Returns the stats so far and a snapshot, which
+/// holds every pending event in pop order.
+fn same_cycle_burst_with_queue(kind: QueueKind) -> (RunStats, Vec<u8>) {
+    const NODES: usize = 4096;
+    const ISSUE_AT: Cycle = Cycle::new(10);
+    let streams: Vec<Box<dyn AccessStream + Send>> = (0..NODES)
+        .map(|c| {
+            let read = MemAccess::read(LineAddr((c % 32) as u64), Cycles(ISSUE_AT.as_u64()));
+            Box::new(VecStream::new(vec![read])) as Box<dyn AccessStream + Send>
+        })
+        .collect();
+    let algorithm = Algorithm::Subset;
+    let predictor = algorithm.default_predictor();
+    let energy = energy_model_for(&predictor);
+    let mut sim = Simulator::new(
+        MachineConfig::scale(NODES),
+        algorithm,
+        predictor,
+        energy,
+        streams,
+        1,
+    )
+    .expect("burst machine configures");
+    sim.use_event_queue(kind);
+    sim.run_until(Some(ISSUE_AT));
+    assert_eq!(
+        sim.stats().events,
+        0,
+        "{kind:?}: dispatched before the burst"
+    );
+    assert_eq!(sim.pending_events(), NODES, "{kind:?}: burst not pending");
+    sim.run_until(Some(Cycle::new(5_000)));
+    (sim.stats().clone(), sim.save_snapshot())
+}
+
 #[test]
 fn heap_and_bucketed_queues_give_identical_stats() {
     // The two queue implementations must dispatch events in the identical
@@ -110,6 +150,21 @@ fn lossy_hier(kind: QueueKind) -> Simulator {
     sim.set_fault_plan(plan);
     sim.use_event_queue(kind);
     sim
+}
+
+#[test]
+fn a_4096_event_same_cycle_burst_matches_across_queues() {
+    let (heap, heap_snapshot) = same_cycle_burst_with_queue(QueueKind::Heap);
+    assert!(heap.events > 100_000, "too few events: {}", heap.events);
+    let (bucketed, bucketed_snapshot) = same_cycle_burst_with_queue(QueueKind::Bucketed);
+    assert_eq!(
+        heap, bucketed,
+        "queue kind changed same-cycle burst results"
+    );
+    assert!(
+        heap_snapshot == bucketed_snapshot,
+        "queue kind changed the state or the pending events"
+    );
 }
 
 #[test]

@@ -32,7 +32,7 @@
 //! | [`config`] | The machine configuration (paper Table 4). |
 //! | [`algorithm`] | The snooping algorithms and Table 2 primitives. |
 //! | [`message`] | Ring message representation (request / reply / combined R/R). |
-//! | [`sim`] | The discrete-event machine simulator. |
+//! | [`sim`] | The discrete-event machine simulator: gateway, requester, recovery, churn, scope and codec modules. |
 //! | [`probe`] | Run-level observability hooks ([`probe::Probe`]). |
 //! | [`stats`] | Per-run statistics (every figure's raw quantities). |
 //! | [`experiments`] | Multi-run helpers used by benches and examples. |

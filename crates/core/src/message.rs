@@ -103,13 +103,6 @@ impl ReplyInfo {
         self.all_snooped = false;
     }
 
-    /// Folds another accumulator (e.g. a buffered trailing reply) in.
-    pub fn merge(&mut self, other: ReplyInfo) {
-        self.found |= other.found;
-        self.all_snooped &= other.all_snooped;
-        self.any_copy |= other.any_copy;
-    }
-
     /// Whether a memory fill may install `E`: no supplier, every node
     /// snooped, no copy anywhere.
     pub fn proves_exclusive(&self) -> bool {
@@ -162,16 +155,6 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
-    /// Whether this message can trigger snoops downstream (a request
-    /// carrier whose outcome is still open).
-    pub fn is_open_request(&self) -> bool {
-        match self {
-            MsgKind::Request => true,
-            MsgKind::Combined(info) => !info.found,
-            MsgKind::Reply(_) => false,
-        }
-    }
-
     /// The accumulator, if this message carries one.
     pub fn info(&self) -> Option<ReplyInfo> {
         match self {
@@ -341,26 +324,6 @@ mod tests {
         let mut i = ReplyInfo::start();
         i.merge_snoop(false, true);
         assert!(!i.proves_exclusive());
-    }
-
-    #[test]
-    fn merge_combines_pessimistically() {
-        let mut a = ReplyInfo::start();
-        let mut b = ReplyInfo::start();
-        b.mark_filtered();
-        b.merge_snoop(true, true);
-        a.merge(b);
-        assert!(a.found && !a.all_snooped && a.any_copy);
-    }
-
-    #[test]
-    fn open_request_classification() {
-        assert!(MsgKind::Request.is_open_request());
-        assert!(MsgKind::Combined(ReplyInfo::start()).is_open_request());
-        let mut found = ReplyInfo::start();
-        found.merge_snoop(true, true);
-        assert!(!MsgKind::Combined(found).is_open_request());
-        assert!(!MsgKind::Reply(ReplyInfo::start()).is_open_request());
     }
 
     #[test]

@@ -1119,7 +1119,7 @@ fn degraded_line_rearms_after_exactly_the_probation_window() {
 /// The degrading write of [`probation_script`], step by step: four
 /// dropped request-carriers, each followed by its timeout and a retry
 /// after exponential backoff, then a clean Lazy-forwarding circulation
-/// (the line is degraded by then).
+/// (the line is degraded by then) and the write-allocate from memory.
 const PROBATION_WALKTHROUGH: &str = "\
 txn0:
   +    0  issued at cmp0
@@ -1169,6 +1169,7 @@ txn0:
   +25690  snoop at cmp7: miss
   +25694  R/R leaves cmp7
   +25733  R/R arrives at cmp0
+  +25749  memory access at cmp4
   +26105  core resumes
   +26105  retired
 ";
@@ -1246,11 +1247,14 @@ fn probation_transitions_are_identical_across_queue_backends() {
         sim.set_recovery_enabled(true);
         let stats = sim.run();
         // The memory footprint counts the event queue's own storage, so
-        // it differs between backends by design; nothing else may.
+        // it differs between backends by design, and the peak RSS is the
+        // whole test process's, which tests running in parallel raise;
+        // nothing else may differ.
         let probe = sim.probe_report().expect("probe attached");
         let probe = crate::probe::ProbeReport {
             bytes_per_node: 0,
             footprint_total_bytes: 0,
+            peak_rss_bytes: 0,
             ..probe
         };
         runs.push((stats, probe));

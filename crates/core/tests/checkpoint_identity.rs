@@ -9,10 +9,14 @@
 //! in place), and the saved bytes themselves are pinned so the SNAP
 //! layout cannot drift unnoticed.
 
-use flexsnoop::{Algorithm, FaultPlan, PartitionWindow, RunStats, Simulator};
+use flexsnoop::{
+    energy_model_for, Algorithm, ChurnWindow, FaultPlan, MachineConfig, PartitionWindow,
+    PredictorSpec, RunStats, Simulator,
+};
 use flexsnoop_engine::snap::{self, SnapError};
 use flexsnoop_engine::{Cycle, Executor, QueueKind};
-use flexsnoop_workload::{profiles, WorkloadProfile};
+use flexsnoop_mem::CmpId;
+use flexsnoop_workload::{profiles, AccessStream, WorkloadProfile};
 
 const SEED: u64 = 42;
 const ACCESSES: u64 = 150;
@@ -83,29 +87,181 @@ fn resume_matches_uninterrupted_run_across_backends_and_widths() {
     }
 }
 
+/// SupersetCon with the §5.3 presence filter skipping write snoops.
+fn write_filtered() -> Simulator {
+    let profile = workload();
+    let mut machine = MachineConfig::isca2006(profile.cores / 8);
+    machine.policy.write_filtering = true;
+    let algorithm = Algorithm::SupersetCon;
+    let predictor = algorithm.default_predictor();
+    let streams = profile
+        .streams(SEED)
+        .into_iter()
+        .map(|s| Box::new(s) as Box<dyn AccessStream + Send>)
+        .collect();
+    Simulator::new(
+        machine,
+        algorithm,
+        predictor,
+        energy_model_for(&predictor),
+        streams,
+        ACCESSES,
+    )
+    .expect("workload configures")
+}
+
+/// A lossy flat ring whose torus data legs also drop, recovery on.
+fn torus_lossy() -> Simulator {
+    let mut plan = FaultPlan::random(7, 8, 2);
+    plan.torus_drop = 0.2;
+    plan.torus_budget = 16;
+    let mut sim = fresh(Algorithm::SupersetCon);
+    sim.set_fault_plan(plan);
+    sim
+}
+
+/// Lazy with one cold and one warm hot-remove window.
+fn churned() -> Simulator {
+    let window = |node, remove_at, readd_at, warm| ChurnWindow {
+        node: CmpId(node),
+        remove_at: Cycle::new(remove_at),
+        readd_at: Cycle::new(readd_at),
+        warm,
+    };
+    let mut sim = fresh(Algorithm::Lazy);
+    sim.set_churn_plan(vec![
+        window(2, 20_000, 60_000, false),
+        window(5, 40_000, 90_000, true),
+    ])
+    .expect("valid churn plan");
+    sim
+}
+
+/// Subset on a 4×4 hierarchy whose bridge crossings drop.
+fn hier_lossy() -> Simulator {
+    let profile = profiles::consolidated()
+        .with_cores(16)
+        .with_cluster(4)
+        .with_accesses(ACCESSES);
+    let mut sim = Simulator::for_workload_hier(&profile, Algorithm::Subset, None, SEED, 4, 4)
+        .expect("hier workload configures");
+    let mut plan = FaultPlan::lossless();
+    plan.seed = SEED;
+    plan.bridge_drop = 0.02;
+    plan.bridge_budget = u64::MAX;
+    sim.set_fault_plan(plan);
+    sim
+}
+
+/// Exact with a 16-entry table, so conflicts force downgrades (and the
+/// memory re-reads they cause) within the short run.
+fn exact_pressured() -> Simulator {
+    let table = PredictorSpec::Exact { entries: 16 };
+    Simulator::for_workload(&workload(), Algorithm::Exact, Some(table), SEED)
+        .expect("workload configures")
+}
+
+/// One pinned configuration: how to build it, the path it must
+/// exercise, and the digests of its mid-run snapshot and final stats.
+struct Pinned {
+    name: &'static str,
+    build: fn() -> Simulator,
+    ran: fn(&Simulator, &RunStats) -> bool,
+    snapshot_digest: u64,
+    snapshot_len: usize,
+    stats_digest: u64,
+}
+
 #[test]
 fn snapshot_bytes_match_the_pinned_digests() {
     // FNV-1a digest and length of the sealed stream saved at half the
     // uninterrupted run. They move if the layout changes (what is saved,
     // in what order, how it is encoded) or if the simulated state at the
     // save point does. Either change must re-pin them deliberately, and
-    // a layout change must also bump the SNAP schema version.
-    let golden: [(Algorithm, u64, usize); 2] = [
-        (Algorithm::SupersetAgg, 0x2d20_9ebe_409e_ce6e, 168_134),
-        (Algorithm::Lazy, 0x057a_5ddb_648b_276d, 113_206),
+    // a layout change must also bump the SNAP schema version. The final
+    // `RunStats` digest pins each configuration's whole-run result.
+    let golden = [
+        Pinned {
+            name: "superset-agg",
+            build: || fresh(Algorithm::SupersetAgg),
+            ran: |_, _| true,
+            snapshot_digest: 0x2d20_9ebe_409e_ce6e,
+            snapshot_len: 168_134,
+            stats_digest: 0x8856_29c1_8b64_8446,
+        },
+        Pinned {
+            name: "lazy",
+            build: || fresh(Algorithm::Lazy),
+            ran: |_, _| true,
+            snapshot_digest: 0x057a_5ddb_648b_276d,
+            snapshot_len: 113_206,
+            stats_digest: 0x1a95_e665_e402_d4e3,
+        },
+        Pinned {
+            name: "superset-con write filtering",
+            build: write_filtered,
+            ran: |sim, _| sim.write_snoops_filtered() > 0,
+            snapshot_digest: 0xa45d_5040_e3ed_70da,
+            snapshot_len: 205_277,
+            stats_digest: 0x1d0a_dbd8_b34b_75e9,
+        },
+        Pinned {
+            name: "torus-lossy flat ring",
+            build: torus_lossy,
+            ran: |_, s| s.robustness.torus_drops > 0,
+            snapshot_digest: 0x0309_b714_085c_fafa,
+            snapshot_len: 167_996,
+            stats_digest: 0xffe0_e6b7_6270_173b,
+        },
+        Pinned {
+            name: "lazy cold and warm churn",
+            build: churned,
+            ran: |_, s| s.robustness.churn_detaches == 2,
+            snapshot_digest: 0xd933_52bb_5a6b_1aa9,
+            snapshot_len: 116_658,
+            stats_digest: 0x6a24_541b_fc1e_2fff,
+        },
+        Pinned {
+            name: "subset 4x4 bridge drops",
+            build: hier_lossy,
+            ran: |_, s| s.escalations > 0,
+            snapshot_digest: 0xd887_d4e9_5b40_175c,
+            snapshot_len: 264_693,
+            stats_digest: 0x85d1_ba5f_d0b5_ef70,
+        },
+        Pinned {
+            name: "exact",
+            build: exact_pressured,
+            ran: |_, s| s.downgrades > 0 && s.downgrade_rereads > 0,
+            snapshot_digest: 0x34ac_c387_f88d_6f9e,
+            snapshot_len: 118_976,
+            stats_digest: 0x13b6_1bcc_f2be_3f0e,
+        },
     ];
-    for (algorithm, digest, len) in golden {
-        let (_, save_at) = baseline_and_save_point(algorithm);
+    for row in golden {
+        let name = row.name;
+        let mut reference = (row.build)();
+        let stats = reference.run();
+        assert!(
+            (row.ran)(&reference, &stats),
+            "{name}: the pinned path never ran"
+        );
+        let found = snap::fnv1a(&snap::snapshot_bytes(&stats));
+        assert_eq!(
+            found, row.stats_digest,
+            "{name}: final RunStats changed (digest {found:#018x})"
+        );
+        let save_at = Cycle::new(stats.exec_cycles.as_u64() / 2);
         for kind in [QueueKind::Heap, QueueKind::Bucketed] {
-            let mut sim = fresh(algorithm);
+            let mut sim = (row.build)();
             sim.use_event_queue(kind);
             sim.run_until(Some(save_at));
             let bytes = sim.save_snapshot();
             let found = snap::fnv1a(&bytes);
             assert_eq!(
                 (found, bytes.len()),
-                (digest, len),
-                "{algorithm} on {kind:?}: snapshot bytes changed (digest {found:#018x})"
+                (row.snapshot_digest, row.snapshot_len),
+                "{name} on {kind:?}: snapshot bytes changed (digest {found:#018x})"
             );
         }
     }

@@ -18,6 +18,8 @@ const SEED: u64 = 20060617;
 
 /// One faulted run with probes attached; returns the stats and the probe
 /// counter report so determinism checks cover the observability layer too.
+/// The report's peak RSS is zeroed: it is the whole test process's high
+/// water mark, which tests running in parallel raise between two runs.
 fn faulted_run(algorithm: Algorithm, plan: &FaultPlan, kind: QueueKind) -> (RunStats, ProbeReport) {
     let workload = profiles::specjbb().with_accesses(250);
     let mut sim = Simulator::for_workload(&workload, algorithm, None, SEED).expect("valid config");
@@ -33,7 +35,12 @@ fn faulted_run(algorithm: Algorithm, plan: &FaultPlan, kind: QueueKind) -> (RunS
         sim.violations()[0]
     );
     assert_eq!(sim.in_flight(), 0, "{algorithm}: transactions lost");
-    (stats, sim.probe_report().expect("probe attached"))
+    let probe = sim.probe_report().expect("probe attached");
+    let probe = ProbeReport {
+        peak_rss_bytes: 0,
+        ..probe
+    };
+    (stats, probe)
 }
 
 #[test]

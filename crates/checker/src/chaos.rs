@@ -16,10 +16,14 @@
 //!   read may be supplied more than once, never less than once,
 //! * dirties only lines the trace actually wrote.
 //!
-//! The identical trace also drives the fault-free directory-protocol
-//! baseline once per campaign ([`ChaosReport::baseline_reasons`]): the
-//! independent reference implementation must pass the same sound
-//! invariants the faulted ring runs are held to.
+//! Every run goes through the replay path the differential matrix and
+//! the scenario runner share ([`Replay`]), and these properties are the
+//! [`chaos_expectations`]. The identical trace also drives the
+//! fault-free directory-protocol baseline once per campaign
+//! ([`ChaosReport::baseline_reasons`]), through the same function as the
+//! differential's directory leg: the independent reference
+//! implementation must pass the same sound invariants the faulted ring
+//! runs are held to.
 //!
 //! A failing `(schedule, algorithm)` pair is **shrunk** to a minimal
 //! reproducer: the fault budget is binary-searched down to the smallest
@@ -34,18 +38,12 @@
 //! strand transactions, proving the harness can see the failures the
 //! recovery layer prevents.
 
-use flexsnoop::{
-    energy_model_for, Algorithm, FaultPlan, FaultStats, RunStats, Simulator, TimeoutPolicy,
-    Violation,
-};
-use flexsnoop_directory::DirSimulator;
-use flexsnoop_engine::{Cycle, Executor, QueueKind, SplitMix64};
-use flexsnoop_mem::LineAddr;
-use flexsnoop_scenario::{chaos_expectations, RunOutcome};
+use flexsnoop::{Algorithm, FaultPlan, FaultStats, MachineConfig, RunStats, TimeoutPolicy};
+use flexsnoop_engine::{Executor, QueueKind, SplitMix64};
+use flexsnoop_scenario::{chaos_expectations, Replay};
 use flexsnoop_workload::{Trace, WorkloadProfile};
 
-use crate::{boxed_streams, machine_for, written_lines, TABLE3_ALGORITHMS};
-use std::collections::BTreeSet;
+use crate::{directory_baseline, TABLE3_ALGORITHMS};
 use std::time::Instant;
 
 /// Knobs for one chaos campaign.
@@ -72,14 +70,6 @@ pub struct ChaosOptions {
     pub recovery: bool,
     /// Shrink every failure to a minimal reproducer.
     pub shrink: bool,
-    /// Resume the shrinker's budget-bisection probes from a mid-run
-    /// checkpoint of the failing run instead of replaying each probe
-    /// from cycle zero. Budgets at or above the faults already injected
-    /// at the checkpoint replay bit-identically (faults are consumed in
-    /// draw order), so the minimized plan is unchanged — only the wall
-    /// time drops. The winning prefix is always re-verified from
-    /// scratch before it is reported.
-    pub snapshot_bisect: bool,
     /// For the first N schedules, re-run each algorithm on the second
     /// queue backend and compare bit-for-bit (determinism under faults).
     pub determinism_probes: u64,
@@ -110,7 +100,6 @@ impl Default for ChaosOptions {
             threads: 4,
             recovery: true,
             shrink: true,
-            snapshot_bisect: true,
             determinism_probes: 2,
             schedule: None,
             budget: None,
@@ -132,17 +121,6 @@ impl ChaosOptions {
     }
 }
 
-/// Everything observable from one faulted run.
-#[derive(Debug, Clone)]
-struct ChaosOutcome {
-    stats: RunStats,
-    fault_stats: FaultStats,
-    violations: Vec<Violation>,
-    coherence: Result<(), String>,
-    in_flight: usize,
-    snapshot: Vec<(LineAddr, usize, usize, flexsnoop_mem::CoherState)>,
-}
-
 /// One failing `(schedule, algorithm)` pair.
 #[derive(Debug, Clone)]
 pub struct ChaosFailure {
@@ -156,8 +134,7 @@ pub struct ChaosFailure {
     pub reasons: Vec<String>,
     /// The shrunk plan (fewest faults still failing), when shrinking ran.
     pub minimized: Option<FaultPlan>,
-    /// How the shrink ran: wall time plus how many probes resumed from
-    /// the mid-run checkpoint versus replayed from cycle zero.
+    /// How the shrink ran: its wall time and how many runs it took.
     pub shrink_note: Option<String>,
 }
 
@@ -488,92 +465,6 @@ impl ChaosReport {
     }
 }
 
-/// Builds (without running) the simulator for one faulted run — shared
-/// by the scratch runs and the shrinker's checkpoint-resumed probes.
-fn build_sim(
-    trace: &Trace,
-    alg: Algorithm,
-    plan: &FaultPlan,
-    kind: QueueKind,
-    opts: &ChaosOptions,
-) -> Result<Simulator, String> {
-    let mut machine = machine_for(trace, opts.nodes, opts.hier)?;
-    if let Some(policy) = opts.timeout_policy {
-        machine.recovery.timeout_policy = policy;
-    }
-    let predictor = alg.default_predictor();
-    let energy = energy_model_for(&predictor);
-    let mut sim = Simulator::new(
-        machine,
-        alg,
-        predictor,
-        energy,
-        boxed_streams(trace),
-        opts.accesses_per_core,
-    )?;
-    sim.use_event_queue(kind);
-    sim.enable_invariant_checks();
-    sim.set_fault_plan(plan.clone());
-    sim.set_recovery_enabled(opts.recovery);
-    Ok(sim)
-}
-
-fn collect_outcome(sim: Simulator, stats: RunStats) -> ChaosOutcome {
-    ChaosOutcome {
-        stats,
-        fault_stats: sim.fault_stats(),
-        violations: sim.violations().to_vec(),
-        coherence: sim.validate_coherence(),
-        in_flight: sim.in_flight(),
-        snapshot: sim.state_snapshot(),
-    }
-}
-
-fn run_one(
-    trace: &Trace,
-    alg: Algorithm,
-    plan: &FaultPlan,
-    kind: QueueKind,
-    opts: &ChaosOptions,
-) -> Result<ChaosOutcome, String> {
-    let mut sim = build_sim(trace, alg, plan, kind, opts)?;
-    let stats = sim.run();
-    Ok(collect_outcome(sim, stats))
-}
-
-/// The campaign's failure predicate: one line per broken property,
-/// empty when the run survived the schedule. The properties themselves
-/// live in the scenario crate ([`chaos_expectations`] evaluates the
-/// historical set, in the historical report order — the same checks a
-/// declarative scenario can mix with recovery expectations), so
-/// reproducer verdicts are byte-identical across the port.
-fn failure_reasons(out: &ChaosOutcome, written: &BTreeSet<LineAddr>) -> Vec<String> {
-    // Under faults a retried read may be supplied twice (once per
-    // surviving circulation), so the supply expectation relaxes to "at
-    // least one supply per read" — but never fewer.
-    let outcome = RunOutcome {
-        stats: out.stats.clone(),
-        violations: out.violations.clone(),
-        coherence: out.coherence.clone(),
-        in_flight: out.in_flight,
-        // The chaos expectation set carries no degradation budget — a
-        // schedule may legitimately leave lines degraded.
-        degraded_lines: 0,
-        dirty_lines: out
-            .snapshot
-            .iter()
-            .filter(|(_, _, _, st)| st.is_dirty())
-            .map(|&(line, _, _, _)| line)
-            .collect(),
-        written: written.clone(),
-        last_disruption_end: 0,
-    };
-    chaos_expectations()
-        .iter()
-        .flat_map(|e| e.check(&outcome))
-        .collect()
-}
-
 /// Draws the fault plan for one schedule seed, applying the campaign's
 /// plan-level overrides (`torus_only`, pinned budget).
 fn draw_plan(seed: u64, opts: &ChaosOptions, rings: usize) -> FaultPlan {
@@ -601,110 +492,37 @@ fn draw_plan(seed: u64, opts: &ChaosOptions, rings: usize) -> FaultPlan {
     plan
 }
 
-/// A mid-run checkpoint of the failing full-budget run, taken at half
-/// its execution time for budget bisection.
-struct BisectCheckpoint {
-    bytes: Vec<u8>,
-    /// Smallest budget that may legally resume the checkpoint: the
-    /// faults (ring and torus) already injected at the save point. A
-    /// probe at or above this budget behaves identically to a scratch
-    /// run up to the checkpoint, so resuming it is exact; below it the
-    /// probe must replay from cycle zero.
-    min_budget: u64,
-}
-
-/// Runs the failing plan to half of `exec_cycles` and checkpoints it.
-fn bisect_checkpoint(
-    trace: &Trace,
-    alg: Algorithm,
-    plan: &FaultPlan,
-    opts: &ChaosOptions,
-    exec_cycles: Cycle,
-) -> Option<BisectCheckpoint> {
-    let mut sim = build_sim(trace, alg, plan, QueueKind::Heap, opts).ok()?;
-    sim.run_until(Some(Cycle::new(exec_cycles.as_u64() / 2)));
-    let spent = sim.fault_stats();
-    Some(BisectCheckpoint {
-        bytes: sim.save_snapshot(),
-        min_budget: spent.injected().max(spent.torus_drops).max(1),
-    })
-}
-
-/// One budget probe resumed from the checkpoint instead of cycle zero.
-/// `None` means the resume path was unavailable (restore refused the
-/// plan); the caller falls back to a full run.
-fn resumed_probe_fails(
-    trace: &Trace,
-    alg: Algorithm,
-    plan: &FaultPlan,
-    opts: &ChaosOptions,
-    checkpoint: &BisectCheckpoint,
-    written: &BTreeSet<LineAddr>,
-) -> Option<bool> {
-    let mut sim = build_sim(trace, alg, plan, QueueKind::Heap, opts).ok()?;
-    sim.restore_snapshot(&checkpoint.bytes).ok()?;
-    sim.run_until(None);
-    let stats = sim.finalize();
-    let out = collect_outcome(sim, stats);
-    Some(!failure_reasons(&out, written).is_empty())
-}
-
 /// Shrinks a failing plan to a minimal reproducer: binary-search the
 /// smallest failing budget prefix, then drop whole fault kinds while the
 /// failure persists (fewest distinct faults, then fewest fault kinds).
-/// Returns the minimized plan plus a note recording the shrink wall time
-/// and how many probes resumed from the mid-run checkpoint.
-fn shrink_plan(
-    trace: &Trace,
-    alg: Algorithm,
-    plan: &FaultPlan,
-    opts: &ChaosOptions,
-    written: &BTreeSet<LineAddr>,
-    failing_exec_cycles: Cycle,
-) -> (FaultPlan, String) {
+/// Every probe replays from cycle zero. Returns the minimized plan plus
+/// a note recording the shrink wall time and run count.
+fn shrink_plan(replay: &Replay, alg: Algorithm, plan: &FaultPlan) -> (FaultPlan, String) {
     let started = Instant::now();
-    let mut full_runs = 0u32;
-    let mut resumed_runs = 0u32;
-    let mut fails = |p: &FaultPlan| -> bool {
-        full_runs += 1;
-        run_one(trace, alg, p, QueueKind::Heap, opts)
-            .map(|out| !failure_reasons(&out, written).is_empty())
-            .unwrap_or(false)
+    let mut runs = 0u32;
+    let mut fails = |p: &FaultPlan| {
+        runs += 1;
+        replay
+            .run(alg, QueueKind::Heap, Some(p))
+            .is_ok_and(|out| !out.check(&chaos_expectations()).is_empty())
     };
     let mut best = plan.clone();
     // Budget prefix: the plan draws faults in a fixed order, so budget b
     // replays the first b faults of the original schedule. `hi` is known
     // to fail; find the smallest failing prefix.
     if best.budget > 1 {
-        let checkpoint = if opts.snapshot_bisect {
-            bisect_checkpoint(trace, alg, &best, opts, failing_exec_cycles)
-        } else {
-            None
-        };
         let (mut lo, mut hi) = (1, best.budget);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let cand = best.with_budget(mid);
-            let failed = match &checkpoint {
-                Some(c) if mid >= c.min_budget => {
-                    match resumed_probe_fails(trace, alg, &cand, opts, c, written) {
-                        Some(failed) => {
-                            resumed_runs += 1;
-                            failed
-                        }
-                        None => fails(&cand),
-                    }
-                }
-                _ => fails(&cand),
-            };
-            if failed {
+            if fails(&best.with_budget(mid)) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        // The kept reproducer is always proven by a full run from cycle
-        // zero; checkpoint-resumed probes only guide the search.
+        // Keep the prefix only if it fails on its own run: `with_budget`
+        // also clamps the torus budget, so even a full-length prefix can
+        // differ from the drawn plan.
         let cand = best.with_budget(lo);
         if fails(&cand) {
             best = cand;
@@ -731,12 +549,7 @@ fn shrink_plan(
             best = cand;
         }
     }
-    let note = format!(
-        "shrunk in {:.1?}: {} probe(s) resumed from a mid-run checkpoint, {} full run(s)",
-        started.elapsed(),
-        resumed_runs,
-        full_runs
-    );
+    let note = format!("shrunk in {:.1?}: {runs} full run(s)", started.elapsed());
     (best, note)
 }
 
@@ -773,14 +586,18 @@ fn shrink_plan(
 pub fn run_chaos(profile: &WorkloadProfile, opts: &ChaosOptions) -> Result<ChaosReport, String> {
     let mut streams = profile.streams(opts.base_seed);
     let trace = Trace::record(&mut streams, opts.accesses_per_core);
-    let written = written_lines(&trace);
-    let machine = machine_for(&trace, opts.nodes, opts.hier)?;
+    let mut machine = MachineConfig::for_cores(trace.cores(), opts.nodes, opts.hier)?;
+    if let Some(policy) = opts.timeout_policy {
+        machine.recovery.timeout_policy = policy;
+    }
     let rings = machine.ring.rings;
+    let mut replay = Replay::new(&trace, machine);
+    replay.recovery = opts.recovery;
 
     // The fault-free directory baseline over the identical trace: the
     // independent reference implementation every faulted ring run is
     // held against (through the shared sound-invariant set).
-    let baseline_reasons = directory_baseline(&trace, opts, &written)?;
+    let (baseline_reasons, _) = directory_baseline(&replay)?;
 
     // Draw the schedule seeds up front from a private stream, so the
     // campaign is a pure function of `base_seed` — unless a single
@@ -800,33 +617,35 @@ pub fn run_chaos(profile: &WorkloadProfile, opts: &ChaosOptions) -> Result<Chaos
     let tasks: Vec<_> = configs
         .iter()
         .map(|&(seed, alg)| {
-            let trace = &trace;
+            let replay = &replay;
             move || {
                 let plan = draw_plan(seed, opts, rings);
-                run_one(trace, alg, &plan, QueueKind::Heap, opts).map(|out| (plan, out))
+                replay
+                    .run(alg, QueueKind::Heap, Some(&plan))
+                    .map(|out| (plan, out))
             }
         })
         .collect();
     let results = Executor::new(opts.threads.max(1)).run(tasks);
 
+    // The first runs are re-checked on the other queue backend below.
+    let probes = (opts.determinism_probes * TABLE3_ALGORITHMS.len() as u64)
+        .min(configs.len() as u64) as usize;
     let mut totals = ChaosTotals::default();
     let mut coverage = ChaosCoverage::default();
     let mut failures = Vec::new();
-    let mut outcomes = Vec::with_capacity(configs.len());
+    let mut probed = Vec::with_capacity(probes);
     for (&(seed, alg), result) in configs.iter().zip(results) {
         let (plan, out) = result?;
         totals.absorb(&out.stats);
         coverage.absorb_plan(&plan, opts.hier.is_some());
         coverage.absorb_events(&out.fault_stats);
-        let reasons = failure_reasons(&out, &written);
+        let reasons = out.check(&chaos_expectations());
         if !reasons.is_empty() {
-            let (minimized, shrink_note) = match opts
+            let (minimized, shrink_note) = opts
                 .shrink
-                .then(|| shrink_plan(&trace, alg, &plan, opts, &written, out.stats.exec_cycles))
-            {
-                Some((min, note)) => (Some(min), Some(note)),
-                None => (None, None),
-            };
+                .then(|| shrink_plan(&replay, alg, &plan))
+                .unzip();
             failures.push(ChaosFailure {
                 seed,
                 algorithm: alg,
@@ -836,23 +655,22 @@ pub fn run_chaos(profile: &WorkloadProfile, opts: &ChaosOptions) -> Result<Chaos
                 shrink_note,
             });
         }
-        outcomes.push((seed, alg, plan, out));
+        if probed.len() < probes {
+            probed.push((seed, alg, plan, out));
+        }
     }
 
     // Determinism under faults: the same (plan, algorithm) must be
     // bit-for-bit identical on the other queue backend.
-    let probes = (opts.determinism_probes * TABLE3_ALGORITHMS.len() as u64)
-        .min(outcomes.len() as u64) as usize;
-    for (seed, alg, plan, heap_out) in &outcomes[..probes] {
-        let bucketed = run_one(&trace, *alg, plan, QueueKind::Bucketed, opts)?;
-        if bucketed.stats != heap_out.stats || bucketed.snapshot != heap_out.snapshot {
+    for (seed, alg, plan, heap) in probed {
+        let bucketed = replay.run(alg, QueueKind::Bucketed, Some(&plan))?;
+        let reasons = heap.identity_breaks(&bucketed, "queue backends Heap vs Bucketed");
+        if !reasons.is_empty() {
             failures.push(ChaosFailure {
-                seed: *seed,
-                algorithm: *alg,
-                plan: plan.clone(),
-                reasons: vec![
-                    "faulted run diverges across queue backends (must be bit-for-bit)".into(),
-                ],
+                seed,
+                algorithm: alg,
+                plan,
+                reasons,
                 minimized: None,
                 shrink_note: None,
             });
@@ -874,47 +692,6 @@ pub fn run_chaos(profile: &WorkloadProfile, opts: &ChaosOptions) -> Result<Chaos
         baseline_reasons,
         failures,
     })
-}
-
-/// Runs the fault-free directory-protocol baseline on `trace` and
-/// returns everything wrong with it (empty = clean). Mirrors the
-/// directory leg of [`crate::run_differential`].
-fn directory_baseline(
-    trace: &Trace,
-    opts: &ChaosOptions,
-    written: &BTreeSet<LineAddr>,
-) -> Result<Vec<String>, String> {
-    let machine = machine_for(trace, opts.nodes, opts.hier)?;
-    let mut dsim = DirSimulator::new(machine, boxed_streams(trace), opts.accesses_per_core)?;
-    dsim.enable_invariant_checks();
-    let dstats = dsim.run();
-    let mut reasons = Vec::new();
-    if let Some(v) = dsim.violations().first() {
-        reasons.push(format!(
-            "invariant oracle recorded {} violation(s); first: {v}",
-            dsim.violations().len()
-        ));
-    }
-    if let Err(e) = dsim.validate_coherence() {
-        reasons.push(format!("final coherence sweep failed: {e}"));
-    }
-    if dstats.read_txns != dstats.reads_two_hop + dstats.reads_three_hop {
-        reasons.push(format!(
-            "read hop accounting broken: {} txns != {} two-hop + {} three-hop",
-            dstats.read_txns, dstats.reads_two_hop, dstats.reads_three_hop
-        ));
-    }
-    let rogue: Vec<LineAddr> = dsim
-        .state_snapshot()
-        .iter()
-        .filter(|(_, _, _, st)| st.is_dirty())
-        .map(|&(line, _, _, _)| line)
-        .filter(|l| !written.contains(l))
-        .collect();
-    if !rogue.is_empty() {
-        reasons.push(format!("dirty lines never written by the trace: {rogue:?}"));
-    }
-    Ok(reasons)
 }
 
 #[cfg(test)]
@@ -970,50 +747,10 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("minimal reproducer"), "{rendered}");
         assert!(rendered.contains("--no-retry"), "{rendered}");
-    }
-
-    #[test]
-    fn snapshot_bisection_matches_full_shrink() {
-        let bisect = ChaosOptions {
-            recovery: false,
-            schedules: 6,
-            ..tiny()
-        };
-        let scratch = ChaosOptions {
-            snapshot_bisect: false,
-            ..bisect.clone()
-        };
-        let fast = run_chaos(&profiles::specweb(), &bisect).unwrap();
-        let slow = run_chaos(&profiles::specweb(), &scratch).unwrap();
-        assert!(!fast.is_clean() && !slow.is_clean());
-        assert_eq!(fast.failures.len(), slow.failures.len());
-        for (a, b) in fast.failures.iter().zip(&slow.failures) {
-            assert_eq!(
-                a.minimized, b.minimized,
-                "checkpoint bisection changed the minimized plan for seed {}",
-                a.seed
-            );
-        }
-        // The speedup must be real, not a silent fallback: at least one
-        // shrink resumed probes from its checkpoint, and the report logs
-        // the wall time either way.
         assert!(
-            fast.failures.iter().any(|f| f
-                .shrink_note
-                .as_deref()
-                .is_some_and(|n| !n.contains("0 probe(s) resumed"))),
-            "no shrink ever resumed from its checkpoint: {:?}",
-            fast.failures
-                .iter()
-                .map(|f| &f.shrink_note)
-                .collect::<Vec<_>>()
+            rendered.contains("shrunk in"),
+            "shrink wall time missing from the report"
         );
-        for report in [&fast, &slow] {
-            assert!(
-                report.render().contains("shrunk in"),
-                "shrink wall time missing from the report"
-            );
-        }
     }
 
     #[test]
@@ -1036,14 +773,15 @@ mod tests {
         // extra diagnosis; the reproducer line replays the prefix.)
         let mut streams = profiles::specweb().streams(opts.base_seed);
         let trace = Trace::record(&mut streams, opts.accesses_per_core);
-        let written = written_lines(&trace);
-        let rings = machine_for(&trace, opts.nodes, opts.hier)
-            .unwrap()
-            .ring
-            .rings;
-        let prefix = FaultPlan::random(min.seed, opts.nodes, rings).with_budget(min.budget);
-        let direct = run_one(&trace, f.algorithm, &prefix, QueueKind::Heap, &opts).unwrap();
-        let expected = failure_reasons(&direct, &written);
+        let machine = MachineConfig::for_cores(trace.cores(), opts.nodes, opts.hier).unwrap();
+        let mut replay = Replay::new(&trace, machine);
+        replay.recovery = opts.recovery;
+        let prefix =
+            FaultPlan::random(min.seed, opts.nodes, machine.ring.rings).with_budget(min.budget);
+        let direct = replay
+            .run(f.algorithm, QueueKind::Heap, Some(&prefix))
+            .unwrap();
+        let expected = direct.check(&chaos_expectations());
         assert!(!expected.is_empty(), "minimized prefix must still fail");
 
         // The CLI reproducer path: the same campaign entry point with the

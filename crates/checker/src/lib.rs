@@ -17,20 +17,24 @@
 //! while the directory baseline stays topology-blind — one oracle
 //! validates both topologies against the identical trace.
 //!
-//! Every ring run executes with the per-retirement invariant oracle
-//! enabled, and the harness diffs what is *guaranteed* invariant across
-//! configurations:
+//! Every ring run goes through the replay path the chaos campaign and
+//! the scenario runner share ([`Replay`]), with the per-retirement
+//! invariant oracle enabled, and the harness diffs what is *guaranteed*
+//! invariant across configurations:
 //!
 //! * **bit-for-bit reproducibility** — the same (algorithm, trace) must
-//!   produce identical [`RunStats`] and identical final line-state
-//!   snapshots across queue backends and executor widths;
-//! * **oracle cleanliness** — zero recorded [`Violation`]s and a clean
-//!   final [`check_all`](flexsnoop_mem::invariants::check_all) sweep;
-//! * **accounting identities** — every ring read is supplied by exactly
-//!   one of cache or memory; every directory read is either 2-hop or
-//!   3-hop;
-//! * **dirty provenance** — a line may end dirty (`D`/`T`) only if the
-//!   trace wrote it;
+//!   produce identical [`RunStats`](flexsnoop::RunStats) and identical
+//!   final line-state snapshots across queue backends and executor
+//!   widths ([`RunOutcome::identity_breaks`]);
+//! * the [`DIFFERENTIAL_EXPECTATIONS`] on every ring run:
+//!   * **oracle cleanliness** — zero recorded
+//!     [`Violation`](flexsnoop::Violation)s and a clean final
+//!     [`check_all`](flexsnoop_mem::invariants::check_all) sweep;
+//!   * **accounting identities** — every ring read is supplied by
+//!     exactly one of cache or memory (every directory read is either
+//!     2-hop or 3-hop);
+//!   * **dirty provenance** — a line may end dirty (`D`/`T`) only if the
+//!     trace wrote it;
 //! * **cross-protocol residency** — for read-only traces, each core's
 //!   final L2 line set is identical across all ring algorithms *and* the
 //!   directory baseline (fills are then a function of the core's own
@@ -42,8 +46,9 @@
 //! configuration (where determinism makes it exact).
 //!
 //! When a run records a violation, the harness **rewinds to just before
-//! the divergence**: it replays the run to shortly before the first
-//! violation's cycle, checkpoints it there ([`Simulator::save_snapshot`]),
+//! the divergence** ([`Replay::walkthrough`]): it replays the run to
+//! shortly before the first violation's cycle, checkpoints it there
+//! ([`Simulator::save_snapshot`](flexsnoop::Simulator::save_snapshot)),
 //! restores the checkpoint into a fresh simulator with a
 //! [`Timeline`](flexsnoop::Timeline) recorder enabled, and steps only the
 //! tail up to the violation — so the report attaches a pinpointed
@@ -61,14 +66,12 @@ pub use chaos::{
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use flexsnoop::{
-    energy_model_for, Algorithm, MachineConfig, ProtocolMutation, RunStats, Simulator, VecStream,
-    Violation, WorkloadProfile,
-};
+use flexsnoop::{replay_streams, Algorithm, MachineConfig, ProtocolMutation, WorkloadProfile};
 use flexsnoop_directory::DirSimulator;
-use flexsnoop_engine::{Cycle, Executor, QueueKind};
-use flexsnoop_mem::{CoherState, LineAddr};
-use flexsnoop_workload::{AccessStream, Trace};
+use flexsnoop_engine::{Executor, QueueKind};
+use flexsnoop_mem::LineAddr;
+use flexsnoop_scenario::{Expectation, LineStates, Replay, RunOutcome};
+use flexsnoop_workload::Trace;
 
 /// The four predictor-driven algorithms of the paper's Table 3, in table
 /// order. (Lazy and Eager are the predictor-free baselines; Oracle is
@@ -78,6 +81,15 @@ pub const TABLE3_ALGORITHMS: [Algorithm; 4] = [
     Algorithm::SupersetCon,
     Algorithm::SupersetAgg,
     Algorithm::Exact,
+];
+
+/// What every ring run of the (lossless) differential matrix must
+/// satisfy, whatever the algorithm: a clean oracle and final sweep, the
+/// exact supply identity, and dirty lines only where the trace wrote.
+pub const DIFFERENTIAL_EXPECTATIONS: [Expectation; 3] = [
+    Expectation::CoherenceClean,
+    Expectation::ExactSupply,
+    Expectation::NoRogueDirty,
 ];
 
 /// Knobs for one differential run.
@@ -99,7 +111,7 @@ pub struct DiffOptions {
     /// Transactions the rewind replay's [`Timeline`](flexsnoop::Timeline)
     /// recorder keeps, for violation walkthroughs. Primary runs record no
     /// timeline; a recorder is only enabled on the checkpoint-restored
-    /// replay of a violating run's tail.
+    /// replay of a violating run's tail ([`Replay::walkthrough`]).
     pub timeline_limit: usize,
     /// Deliberate protocol bug injected into every **ring** run (testing
     /// the harness itself; see [`ProtocolMutation`]).
@@ -199,258 +211,56 @@ impl DiffReport {
     }
 }
 
-/// A canonical `(line, cmp, core, state)` snapshot.
-type Snapshot = Vec<(LineAddr, usize, usize, CoherState)>;
-
-/// Everything comparable from one ring run.
-struct RingOutcome {
-    stats: RunStats,
-    snapshot: Snapshot,
-    violations: Vec<Violation>,
-    /// Rendered Timeline of the first violating transaction, if any.
-    violation_walkthrough: Option<String>,
-    coherence: Result<(), String>,
-}
-
-pub(crate) fn machine_for(
-    trace: &Trace,
-    nodes: usize,
-    hier: Option<(usize, usize)>,
-) -> Result<MachineConfig, String> {
-    let cores = trace.cores();
-    if nodes == 0 || !cores.is_multiple_of(nodes) {
-        return Err(format!(
-            "trace cores ({cores}) must be a multiple of {nodes} nodes"
+/// Runs the fault-free directory protocol over `replay`'s trace, on the
+/// same machine, and returns everything wrong with it (empty = clean)
+/// plus its final line states. The directory is the independent
+/// reference both the differential matrix and the chaos campaign hold
+/// the ring against.
+pub(crate) fn directory_baseline(replay: &Replay) -> Result<(Vec<String>, LineStates), String> {
+    let trace = replay.trace();
+    let mut dsim = DirSimulator::new(
+        *replay.machine(),
+        replay_streams(trace),
+        trace.accesses_per_core(),
+    )?;
+    dsim.enable_invariant_checks();
+    let dstats = dsim.run();
+    let mut reasons = Vec::new();
+    if let Some(v) = dsim.violations().first() {
+        reasons.push(format!(
+            "invariant oracle recorded {} violation(s); first: {v}",
+            dsim.violations().len()
         ));
     }
-    let mut machine = MachineConfig {
-        nodes,
-        ..MachineConfig::isca2006(cores / nodes)
-    };
-    if let Some((local, groups)) = hier {
-        if local * groups != nodes {
-            return Err(format!(
-                "hier shape {local}x{groups} does not cover {nodes} nodes"
-            ));
-        }
-        machine.ring.hier = Some(flexsnoop::default_hier(local, groups));
+    if let Err(e) = dsim.validate_coherence() {
+        reasons.push(format!("final coherence sweep failed: {e}"));
     }
-    Ok(machine)
-}
-
-pub(crate) fn boxed_streams(trace: &Trace) -> Vec<Box<dyn AccessStream + Send>> {
-    VecStream::from_trace(trace)
-        .into_iter()
-        .map(|s| Box::new(s) as Box<dyn AccessStream + Send>)
-        .collect()
-}
-
-fn build_ring_sim(
-    trace: &Trace,
-    alg: Algorithm,
-    kind: QueueKind,
-    opts: &DiffOptions,
-) -> Result<Simulator, String> {
-    let machine = machine_for(trace, opts.nodes, opts.hier)?;
-    let predictor = alg.default_predictor();
-    let energy = energy_model_for(&predictor);
-    let mut sim = Simulator::new(
-        machine,
-        alg,
-        predictor,
-        energy,
-        boxed_streams(trace),
-        opts.accesses_per_core,
-    )?;
-    sim.use_event_queue(kind);
-    sim.enable_invariant_checks();
-    if let Some(m) = opts.mutation {
-        sim.inject_mutation(m);
+    if dstats.read_txns != dstats.reads_two_hop + dstats.reads_three_hop {
+        reasons.push(format!(
+            "read hop accounting broken: {} txns != {} two-hop + {} three-hop",
+            dstats.read_txns, dstats.reads_two_hop, dstats.reads_three_hop
+        ));
     }
-    Ok(sim)
-}
-
-/// Cycles before the first violation the rewind replay backs up to —
-/// generous enough to cover a lossless transaction's whole lifetime
-/// (ring round trip plus a memory access), so the walkthrough captures
-/// the divergent transaction from issue to retirement.
-const REWIND_WINDOW: u64 = 16_384;
-
-/// Time-travels a violating run: replays it to just before the first
-/// violation, checkpoints there, restores the checkpoint into a fresh
-/// simulator with the timeline recorder on, and steps the tail through
-/// the violation. Determinism makes the replay exact, so the rendered
-/// walkthrough is the one the original run would have recorded — without
-/// every clean run paying for a recorder.
-fn rewind_walkthrough(
-    trace: &Trace,
-    alg: Algorithm,
-    kind: QueueKind,
-    opts: &DiffOptions,
-    v: &Violation,
-) -> Option<String> {
-    let rewind_to = Cycle::new(v.at.as_u64().saturating_sub(REWIND_WINDOW));
-    let mut donor = build_ring_sim(trace, alg, kind, opts).ok()?;
-    donor.run_until(Some(rewind_to));
-    let checkpoint = donor.save_snapshot();
-    let mut replay = build_ring_sim(trace, alg, kind, opts).ok()?;
-    replay.enable_timeline(opts.timeline_limit);
-    replay.restore_snapshot(&checkpoint).ok()?;
-    // Step only the tail: everything up to and including the violation
-    // cycle (run_until stops before popping events at the stop cycle).
-    replay.run_until(Some(Cycle::new(v.at.as_u64() + 1)));
-    Some(format!(
-        "first divergent transaction (rewound to cycle {rewind_to} via checkpoint, \
-         violation at cycle {}):\n{}",
-        v.at,
-        replay.timeline()?.render(v.txn)
-    ))
-}
-
-fn run_ring(
-    trace: &Trace,
-    alg: Algorithm,
-    kind: QueueKind,
-    opts: &DiffOptions,
-) -> Result<RingOutcome, String> {
-    let mut sim = build_ring_sim(trace, alg, kind, opts)?;
-    let stats = sim.run();
-    let violations = sim.violations().to_vec();
-    let violation_walkthrough = violations
-        .first()
-        .and_then(|v| rewind_walkthrough(trace, alg, kind, opts, v));
-    Ok(RingOutcome {
-        stats,
-        snapshot: sim.state_snapshot(),
-        violations,
-        violation_walkthrough,
-        coherence: sim.validate_coherence(),
-    })
-}
-
-/// Lines the trace ever stores to.
-pub(crate) fn written_lines(trace: &Trace) -> BTreeSet<LineAddr> {
-    (0..trace.cores())
-        .flat_map(|c| trace.core(c).iter().filter(|a| a.write).map(|a| a.line))
-        .collect()
+    let snapshot = dsim.state_snapshot();
+    let rogue: Vec<LineAddr> = snapshot
+        .iter()
+        .filter(|&&(line, _, _, st)| st.is_dirty() && !replay.written().contains(&line))
+        .map(|&(line, _, _, _)| line)
+        .collect();
+    if !rogue.is_empty() {
+        reasons.push(format!("dirty lines never written by the trace: {rogue:?}"));
+    }
+    Ok((reasons, snapshot))
 }
 
 /// Per-core L2 residency: which lines each `(cmp, core)` holds, states
 /// ignored.
-fn residency(snapshot: &Snapshot) -> BTreeMap<(usize, usize), BTreeSet<LineAddr>> {
+fn residency(snapshot: &LineStates) -> BTreeMap<(usize, usize), BTreeSet<LineAddr>> {
     let mut out: BTreeMap<(usize, usize), BTreeSet<LineAddr>> = BTreeMap::new();
     for &(line, cmp, core, _) in snapshot {
         out.entry((cmp, core)).or_default().insert(line);
     }
     out
-}
-
-fn dirty_lines(snapshot: &Snapshot) -> BTreeSet<LineAddr> {
-    snapshot
-        .iter()
-        .filter(|(_, _, _, st)| st.is_dirty())
-        .map(|&(line, _, _, _)| line)
-        .collect()
-}
-
-/// Checks that hold within any single ring run, whatever the algorithm.
-fn check_single_run(
-    ctx: &str,
-    out: &RingOutcome,
-    written: &BTreeSet<LineAddr>,
-    divergences: &mut Vec<Divergence>,
-) {
-    if let Some(v) = out.violations.first() {
-        let mut detail = format!(
-            "invariant oracle recorded {} violation(s); first: {v}",
-            out.violations.len()
-        );
-        if let Some(walk) = &out.violation_walkthrough {
-            detail.push('\n');
-            detail.push_str(walk);
-        }
-        divergences.push(Divergence {
-            context: ctx.to_string(),
-            detail,
-        });
-    }
-    if let Err(e) = &out.coherence {
-        divergences.push(Divergence {
-            context: ctx.to_string(),
-            detail: format!("final coherence sweep failed: {e}"),
-        });
-    }
-    let s = &out.stats;
-    if s.read_txns != s.reads_cache_supplied + s.reads_from_memory {
-        divergences.push(Divergence {
-            context: ctx.to_string(),
-            detail: format!(
-                "read supply accounting broken: {} txns != {} cache + {} memory",
-                s.read_txns, s.reads_cache_supplied, s.reads_from_memory
-            ),
-        });
-    }
-    let rogue: Vec<_> = dirty_lines(&out.snapshot)
-        .difference(written)
-        .copied()
-        .collect();
-    if !rogue.is_empty() {
-        divergences.push(Divergence {
-            context: ctx.to_string(),
-            detail: format!("dirty lines never written by the trace: {rogue:?}"),
-        });
-    }
-}
-
-fn diff_outcomes(
-    ctx: &str,
-    what: &str,
-    a: &RingOutcome,
-    b: &RingOutcome,
-    divergences: &mut Vec<Divergence>,
-) {
-    if a.stats != b.stats {
-        divergences.push(Divergence {
-            context: ctx.to_string(),
-            detail: format!("RunStats differ across {what} (must be bit-for-bit identical)"),
-        });
-    }
-    if a.snapshot != b.snapshot {
-        let detail = first_snapshot_diff(&a.snapshot, &b.snapshot)
-            .map(|d| format!("final line states differ across {what}: {d}"))
-            .unwrap_or_else(|| format!("final line states differ across {what}"));
-        divergences.push(Divergence {
-            context: ctx.to_string(),
-            detail,
-        });
-    }
-}
-
-/// The first `(line, cmp, core, state)` entry present in only one of two
-/// snapshots — the minimized witness for a state divergence. Snapshots
-/// are already canonically sorted, so a two-pointer walk finds it.
-fn first_snapshot_diff(a: &Snapshot, b: &Snapshot) -> Option<String> {
-    let render = |side: &str, (line, cmp, core, st): (LineAddr, usize, usize, CoherState)| {
-        format!("only in {side}: {st}@cmp{cmp}/core{core} for {line}")
-    };
-    let key =
-        |(line, cmp, core, st): (LineAddr, usize, usize, CoherState)| (line, cmp, core, st as u8);
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match key(a[i]).cmp(&key(b[j])) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => return Some(render("first", a[i])),
-            std::cmp::Ordering::Greater => return Some(render("second", b[j])),
-        }
-    }
-    if i < a.len() {
-        Some(render("first", a[i]))
-    } else {
-        b.get(j).map(|&e| render("second", e))
-    }
 }
 
 /// Runs the full differential matrix for one workload profile.
@@ -489,53 +299,54 @@ pub fn run_differential(
 ) -> Result<DiffReport, String> {
     let mut streams = profile.streams(seed);
     let trace = Trace::record(&mut streams, opts.accesses_per_core);
-    let read_only = (0..trace.cores()).all(|c| trace.core(c).iter().all(|a| !a.write));
-    let written = written_lines(&trace);
+    let machine = MachineConfig::for_cores(trace.cores(), opts.nodes, opts.hier)?;
+    let mut replay = Replay::new(&trace, machine);
+    replay.mutation = opts.mutation;
+    replay.walkthrough = Some(opts.timeline_limit);
+    let read_only = replay.written().is_empty();
 
     let configs: Vec<(Algorithm, QueueKind)> = TABLE3_ALGORITHMS
         .iter()
         .flat_map(|&alg| [(alg, QueueKind::Heap), (alg, QueueKind::Bucketed)])
         .collect();
-    let make_tasks = || -> Vec<_> {
-        configs
+    let run_all = |replay: &Replay, threads: usize| -> Result<Vec<RunOutcome>, String> {
+        let tasks: Vec<_> = configs
             .iter()
-            .map(|&(alg, kind)| {
-                let trace = &trace;
-                move || run_ring(trace, alg, kind, opts)
-            })
-            .collect()
+            .map(|&(alg, kind)| move || replay.run(alg, kind, None))
+            .collect();
+        Executor::new(threads).run(tasks).into_iter().collect()
     };
-    // The same task list through a 1-worker and an N-worker pool: the
-    // executor must not affect any result.
-    let narrow = Executor::new(1).run(make_tasks());
-    let wide = Executor::new(opts.threads.max(2)).run(make_tasks());
-    let narrow: Vec<RingOutcome> = narrow.into_iter().collect::<Result<_, _>>()?;
-    let wide: Vec<RingOutcome> = wide.into_iter().collect::<Result<_, _>>()?;
+    // The same configurations through a 1-worker and an N-worker pool:
+    // the executor must not affect any result. Only the narrow outcomes
+    // are checked and reported, so only they rewind for walkthroughs.
+    let narrow = run_all(&replay, 1)?;
+    let mut unrewound = replay.clone();
+    unrewound.walkthrough = None;
+    let wide = run_all(&unrewound, opts.threads.max(2))?;
 
     let mut divergences = Vec::new();
+    let mut diverge = |context: String, details: Vec<String>| {
+        divergences.extend(details.into_iter().map(|detail| Divergence {
+            context: context.clone(),
+            detail,
+        }));
+    };
     let ctx_of = |alg: Algorithm, kind: QueueKind| format!("{}/{alg}/{kind:?}", profile.name);
 
     for (i, &(alg, kind)) in configs.iter().enumerate() {
         let ctx = ctx_of(alg, kind);
-        check_single_run(&ctx, &narrow[i], &written, &mut divergences);
-        diff_outcomes(
-            &ctx,
-            "executor widths 1 vs N",
-            &narrow[i],
-            &wide[i],
-            &mut divergences,
+        diverge(ctx.clone(), narrow[i].check(&DIFFERENTIAL_EXPECTATIONS));
+        diverge(
+            ctx,
+            narrow[i].identity_breaks(&wide[i], "executor widths 1 vs N"),
         );
     }
     // Heap vs Bucketed per algorithm (configs interleave the two kinds).
     for pair in configs.chunks(2).zip(narrow.chunks(2)) {
         let ((alg, _), outs) = (pair.0[0], pair.1);
-        let ctx = format!("{}/{alg}", profile.name);
-        diff_outcomes(
-            &ctx,
-            "queue backends Heap vs Bucketed",
-            &outs[0],
-            &outs[1],
-            &mut divergences,
+        diverge(
+            format!("{}/{alg}", profile.name),
+            outs[0].identity_breaks(&outs[1], "queue backends Heap vs Bucketed"),
         );
     }
 
@@ -543,46 +354,9 @@ pub fn run_differential(
     // protocol never touches the ring, so the hierarchical shape changes
     // nothing on this side — which is exactly the point: the oracle is
     // topology-blind.
-    let machine = machine_for(&trace, opts.nodes, opts.hier)?;
-    let mut dsim = DirSimulator::new(machine, boxed_streams(&trace), opts.accesses_per_core)?;
-    dsim.enable_invariant_checks();
-    let dstats = dsim.run();
+    let (baseline, dsnapshot) = directory_baseline(&replay)?;
     let dctx = format!("{}/Directory", profile.name);
-    if let Some(v) = dsim.first_violation() {
-        divergences.push(Divergence {
-            context: dctx.clone(),
-            detail: format!(
-                "invariant oracle recorded {} violation(s); first: {v}",
-                dsim.violations().len()
-            ),
-        });
-    }
-    if let Err(e) = dsim.validate_coherence() {
-        divergences.push(Divergence {
-            context: dctx.clone(),
-            detail: format!("final coherence sweep failed: {e}"),
-        });
-    }
-    if dstats.read_txns != dstats.reads_two_hop + dstats.reads_three_hop {
-        divergences.push(Divergence {
-            context: dctx.clone(),
-            detail: format!(
-                "read hop accounting broken: {} txns != {} two-hop + {} three-hop",
-                dstats.read_txns, dstats.reads_two_hop, dstats.reads_three_hop
-            ),
-        });
-    }
-    let dsnapshot = dsim.state_snapshot();
-    let rogue: Vec<_> = dirty_lines(&dsnapshot)
-        .difference(&written)
-        .copied()
-        .collect();
-    if !rogue.is_empty() {
-        divergences.push(Divergence {
-            context: dctx.clone(),
-            detail: format!("dirty lines never written by the trace: {rogue:?}"),
-        });
-    }
+    diverge(dctx.clone(), baseline);
 
     // For read-only traces each core's fill sequence depends only on its
     // own stream, so final L2 residency must agree across every
@@ -591,17 +365,17 @@ pub fn run_differential(
         let reference = residency(&narrow[0].snapshot);
         for (i, &(alg, kind)) in configs.iter().enumerate().skip(1) {
             if residency(&narrow[i].snapshot) != reference {
-                divergences.push(Divergence {
-                    context: ctx_of(alg, kind),
-                    detail: "read-only L2 residency differs from the first ring run".to_string(),
-                });
+                diverge(
+                    ctx_of(alg, kind),
+                    vec!["read-only L2 residency differs from the first ring run".to_string()],
+                );
             }
         }
         if residency(&dsnapshot) != reference {
-            divergences.push(Divergence {
-                context: dctx,
-                detail: "read-only L2 residency differs between directory and ring".to_string(),
-            });
+            diverge(
+                dctx,
+                vec!["read-only L2 residency differs between directory and ring".to_string()],
+            );
         }
     }
 

@@ -258,13 +258,14 @@ mod tests {
 
     #[test]
     fn chaos_no_retry_reports_reproducer() {
-        // Without recovery a lossy schedule eventually strands transactions;
-        // the command still exits Ok (self-test mode) but names a reproducer.
+        // Without recovery a lossy schedule eventually strands transactions:
+        // the command fails (a non-zero exit) and names a reproducer.
         let out = run(&argv(
             "chaos --workload specjbb --schedules 6 --accesses 60 --nodes 4 --seed 1 \
              --no-retry --threads 2",
         ))
-        .unwrap();
+        .unwrap_err();
+        assert!(out.contains("minimal reproducer"), "{out}");
         assert!(out.contains("--no-retry"), "{out}");
     }
 

@@ -156,7 +156,8 @@ impl<T> TxnArena<T> {
         r: &mut SnapReader<'_>,
         mut dec: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
     ) -> Result<(), SnapError> {
-        let n_slots = r.get_usize()?;
+        // A slot encodes as a generation (4 bytes) plus a liveness flag.
+        let n_slots = r.get_len(5)?;
         let mut slots = Vec::with_capacity(n_slots);
         let mut live = 0;
         for _ in 0..n_slots {
@@ -169,7 +170,7 @@ impl<T> TxnArena<T> {
             };
             slots.push(Slot { generation, value });
         }
-        let n_free = r.get_usize()?;
+        let n_free = r.get_len(4)?;
         if n_free != n_slots - live {
             return Err(SnapError::Corrupt("free-list length disagrees with slots"));
         }
@@ -289,6 +290,19 @@ mod tests {
         let mut b: TxnArena<u32> = TxnArena::new();
         let mut r = SnapReader::new(&bytes);
         assert!(b.restore_from_with(&mut r, |r| r.get_u32()).is_err());
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_oversized_slot_count() {
+        let mut w = SnapWriter::new();
+        w.put_usize(1 << 40);
+        w.put_u32(0);
+        let bytes = w.into_bytes();
+        let mut b: TxnArena<u32> = TxnArena::new();
+        let err = b
+            .restore_from_with(&mut SnapReader::new(&bytes), |r| r.get_u32())
+            .unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

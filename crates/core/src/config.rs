@@ -293,6 +293,40 @@ impl MachineConfig {
         }
     }
 
+    /// The paper machine with `cores` cores spread evenly over `nodes`
+    /// CMPs: a flat ring, or with `hier = Some((local, groups))` the
+    /// [`default_hier`] two-level ring of `groups` local rings of `local`
+    /// nodes each.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if `cores` is not a positive multiple of
+    /// `nodes`, or the hierarchical shape does not cover `nodes`.
+    pub fn for_cores(
+        cores: usize,
+        nodes: usize,
+        hier: Option<(usize, usize)>,
+    ) -> Result<Self, String> {
+        if nodes == 0 || cores == 0 || !cores.is_multiple_of(nodes) {
+            return Err(format!(
+                "cores ({cores}) must be a multiple of {nodes} nodes"
+            ));
+        }
+        let mut machine = MachineConfig {
+            nodes,
+            ..Self::isca2006(cores / nodes)
+        };
+        if let Some((local, groups)) = hier {
+            if local * groups != nodes {
+                return Err(format!(
+                    "hier shape {local}x{groups} does not cover {nodes} nodes"
+                ));
+            }
+            machine.ring.hier = Some(default_hier(local, groups));
+        }
+        Ok(machine)
+    }
+
     /// A machine sized for ring-scaling sweeps (`flexsnoop bench
     /// --scale`): `nodes` single-core CMPs with deliberately tiny caches
     /// so per-node state — not cache capacity — dominates the footprint,

@@ -31,6 +31,15 @@ impl VecStream {
     }
 }
 
+/// One boxed replay stream per core of `trace`: what the ring simulator
+/// ([`Simulator::for_trace`]) and the directory baseline replay.
+pub fn replay_streams(trace: &Trace) -> Vec<Box<dyn AccessStream + Send>> {
+    VecStream::from_trace(trace)
+        .into_iter()
+        .map(|s| Box::new(s) as Box<dyn AccessStream + Send>)
+        .collect()
+}
+
 /// Serializes only the replay cursor; the access vector is configuration.
 impl Snapshot for VecStream {
     fn save_into(&self, w: &mut SnapWriter) {

@@ -60,7 +60,7 @@ pub mod timeline;
 
 pub use algorithm::{Algorithm, DynPolicy, SnoopAction};
 pub use config::{default_hier, MachineConfig, RecoveryParams, TimeoutPolicy};
-pub use experiments::{run_algorithms, run_workload, GroupAggregator, VecStream};
+pub use experiments::{replay_streams, run_algorithms, run_workload, GroupAggregator, VecStream};
 pub use message::{MsgKind, ReplyInfo, RingMsg, SnoopScope, TxnId, TxnOp};
 pub use oracle::{ProtocolMutation, Violation};
 pub use probe::{CountingProbe, Probe, ProbeReport};

@@ -19,9 +19,8 @@ impl Simulator {
     /// per-core access limits. Deliberately *excluded* are the event-queue
     /// backend (both backends pop in the same `(time, insertion seq)`
     /// order, and a snapshot stores its events in that order, so it
-    /// resumes on either) and the fault plan (a resumed run may widen the
-    /// fault budget — the basis of the chaos shrinker's snapshot
-    /// bisection).
+    /// resumes on either) and the fault plan (configuration re-armed
+    /// before restore; a resumed run may even widen the fault budget).
     ///
     /// Public because the sweep service (`flexsnoop-serve`) keys its
     /// results cache on this value: two simulators with equal
@@ -318,7 +317,8 @@ impl Simulator {
         self.line_waiters.clear();
         for _ in 0..r.get_usize()? {
             let line = LineAddr(r.get_u64()?);
-            let n = r.get_usize()?;
+            // Each waiter is a core index (8 bytes) plus an access (17).
+            let n = r.get_len(25)?;
             let mut queue = VecDeque::with_capacity(n);
             for _ in 0..n {
                 let core = r.get_usize()?;
@@ -560,7 +560,8 @@ fn save_txn(t: &Txn, w: &mut SnapWriter) {
     w.put_bool(t.data_sent);
     w.put_bool(t.resumed);
     w.put_u32(t.data_pending);
-    w.put_bool(t.blocking);
+    // The retired blocking flag: implied by the op, kept in the layout.
+    w.put_bool(t.op == TxnOp::Read);
     t.fill_state.save_into(w);
     w.put_u32(t.attempt);
     w.put_cycle(t.attempt_start);
@@ -580,8 +581,9 @@ fn load_txn(r: &mut SnapReader<'_>) -> Result<Txn, SnapError> {
     let requester = CmpId(r.get_usize()?);
     let core = r.get_usize()?;
     let issue = r.get_cycle()?;
-    let mut engaged = Vec::with_capacity(r.get_usize()?);
-    for _ in 0..engaged.capacity() {
+    let n = r.get_len(4)?;
+    let mut engaged = Vec::with_capacity(n);
+    for _ in 0..n {
         engaged.push(r.get_u32()?);
     }
     let data_arrived = load_opt_cycle(r)?;
@@ -595,14 +597,17 @@ fn load_txn(r: &mut SnapReader<'_>) -> Result<Txn, SnapError> {
     let data_sent = r.get_bool()?;
     let resumed = r.get_bool()?;
     let data_pending = r.get_u32()?;
-    let blocking = r.get_bool()?;
+    if r.get_bool()? != (op == TxnOp::Read) {
+        return Err(SnapError::Corrupt("blocking flag disagrees with the op"));
+    }
     let mut fill_state = CoherState::ALL[0];
     fill_state.restore_from(r)?;
     let attempt = r.get_u32()?;
     let attempt_start = r.get_cycle()?;
     let emit_seq = r.get_u32()?;
-    let mut seen_seqs = Vec::with_capacity(r.get_usize()?);
-    for _ in 0..seen_seqs.capacity() {
+    let n = r.get_len(8)?;
+    let mut seen_seqs = Vec::with_capacity(n);
+    for _ in 0..n {
         seen_seqs.push(r.get_u64()?);
     }
     let mut scope = SnoopScope::Global;
@@ -622,7 +627,6 @@ fn load_txn(r: &mut SnapReader<'_>) -> Result<Txn, SnapError> {
         data_sent,
         resumed,
         data_pending,
-        blocking,
         fill_state,
         attempt,
         attempt_start,
@@ -727,4 +731,51 @@ fn load_event(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
         },
         _ => return Err(SnapError::Corrupt("event tag out of range")),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithm::Algorithm;
+    use flexsnoop_workload::profiles;
+
+    #[test]
+    fn oversized_engaged_count_in_a_resealed_checkpoint_is_corrupt() {
+        // `run --resume` of a specjbb/Lazy checkpoint taken at cycle
+        // 60000, with one live transaction's `engaged` count rewritten to
+        // 2^40 and the envelope re-sealed: restore must fail cleanly
+        // instead of aborting on a 4 TiB allocation.
+        let workload = profiles::specjbb().with_accesses(2_000);
+        let build = || Simulator::for_workload(&workload, Algorithm::Lazy, None, 7).unwrap();
+        let mut sim = build();
+        sim.run_until(Some(Cycle::new(60_000)));
+        assert!(
+            sim.in_flight() > 0,
+            "the checkpoint needs a live transaction"
+        );
+        let mut payload = snap::unseal(&sim.save_snapshot()).unwrap().to_vec();
+
+        // Locate the transaction arena in the payload, then its first
+        // live slot; `engaged` follows line, op, requester, core, issue.
+        let mut arena = SnapWriter::new();
+        sim.txns.save_into_with(&mut arena, save_txn);
+        let arena = arena.into_bytes();
+        let base = payload
+            .windows(arena.len())
+            .position(|w| w == arena.as_slice())
+            .expect("arena bytes inside the snapshot");
+        let mut r = SnapReader::new(&arena);
+        let slots = r.get_usize().unwrap();
+        let txn_at = (0..slots)
+            .find_map(|_| {
+                r.get_u32().unwrap();
+                r.get_bool().unwrap().then(|| arena.len() - r.remaining())
+            })
+            .expect("a live slot");
+        let engaged_at = base + txn_at + 8 + 1 + 8 + 8 + 8;
+        payload[engaged_at..engaged_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+
+        let err = build().restore_snapshot(&snap::seal(payload)).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
+    }
 }

@@ -50,7 +50,7 @@ use flexsnoop_predictor::{
     BloomFilter, BloomSpec, LocalityTable, PredictorBank, PredictorSpec, SupplierPredictor,
     DEFAULT_LOCALITY_ENTRIES,
 };
-use flexsnoop_workload::{AccessStream, MemAccess, WorkloadProfile};
+use flexsnoop_workload::{AccessStream, MemAccess, Trace, WorkloadProfile};
 
 pub use churn::ChurnWindow;
 use gateway::NodeState;
@@ -59,6 +59,7 @@ use recovery::RttEstimator;
 use crate::algorithm::Algorithm;
 use crate::arena::TxnArena;
 use crate::config::MachineConfig;
+use crate::experiments::replay_streams;
 use crate::message::{ReplyInfo, RingMsg, SnoopScope, TxnId, TxnOp};
 use crate::oracle::{ProtocolMutation, Violation};
 use crate::probe::{CountingProbe, Probe, ProbeReport};
@@ -133,9 +134,6 @@ struct Txn {
     /// `data_arrived` may be stale leftovers of a superseded attempt and
     /// must not be trusted.
     data_pending: u32,
-    /// Whether the issuing core blocks until this transaction completes
-    /// (reads do; writes are fire-and-forget).
-    blocking: bool,
     /// Memory fill state chosen when the negative reply returned.
     fill_state: CoherState,
     /// Current circulation attempt (0 = original issue). Only advances on
@@ -563,16 +561,7 @@ impl Simulator {
         seed: u64,
         nodes: usize,
     ) -> Result<Self, String> {
-        if nodes == 0 || !profile.cores.is_multiple_of(nodes) {
-            return Err(format!(
-                "workload cores ({}) must be a multiple of {nodes} nodes",
-                profile.cores
-            ));
-        }
-        let machine = MachineConfig {
-            nodes,
-            ..MachineConfig::isca2006(profile.cores / nodes)
-        };
+        let machine = MachineConfig::for_cores(profile.cores, nodes, None)?;
         Self::for_profile(profile, machine, algorithm, predictor, seed)
     }
 
@@ -593,27 +582,33 @@ impl Simulator {
         local: usize,
         groups: usize,
     ) -> Result<Self, String> {
-        let nodes = local * groups;
-        if nodes == 0 || !profile.cores.is_multiple_of(nodes) {
-            return Err(format!(
-                "workload cores ({}) must be a multiple of {local}x{groups} nodes",
-                profile.cores
-            ));
-        }
-        let machine = MachineConfig {
-            nodes,
-            ring: crate::config::RingParams {
-                hier: Some(crate::config::default_hier(local, groups)),
-                ..MachineConfig::isca2006(1).ring
-            },
-            ..MachineConfig::isca2006(profile.cores / nodes)
-        };
+        let machine =
+            MachineConfig::for_cores(profile.cores, local * groups, Some((local, groups)))?;
         Self::for_profile(profile, machine, algorithm, predictor, seed)
     }
 
-    /// The `for_workload*` tail: `profile`'s streams for `seed` on
-    /// `machine`, with the algorithm's default predictor unless
-    /// `predictor` overrides it.
+    /// Replays a recorded `trace` on `machine` (see
+    /// [`MachineConfig::for_cores`]), with the algorithm's default
+    /// predictor unless `predictor` overrides it. Each core replays its
+    /// own recorded accesses to the end. The CLI's `replay`, the
+    /// differential matrix, the chaos campaign and the scenario runner
+    /// all build their simulators here.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the trace's core count does not match the
+    /// machine or the configuration is otherwise invalid.
+    pub fn for_trace(
+        trace: &Trace,
+        machine: MachineConfig,
+        algorithm: Algorithm,
+        predictor: Option<PredictorSpec>,
+    ) -> Result<Self, String> {
+        let limit = trace.accesses_per_core();
+        Self::for_streams(machine, algorithm, predictor, replay_streams(trace), limit)
+    }
+
+    /// `profile`'s streams for `seed` on `machine`.
     fn for_profile(
         profile: &WorkloadProfile,
         machine: MachineConfig,
@@ -621,21 +616,32 @@ impl Simulator {
         predictor: Option<PredictorSpec>,
         seed: u64,
     ) -> Result<Self, String> {
-        let predictor = predictor.unwrap_or_else(|| algorithm.default_predictor());
         let streams = profile
             .streams(seed)
             .into_iter()
             .map(|s| Box::new(s) as Box<dyn AccessStream + Send>)
             .collect();
-        let energy = energy_model_for(&predictor);
-        Self::new(
+        Self::for_streams(
             machine,
             algorithm,
             predictor,
-            energy,
             streams,
             profile.accesses_per_core,
         )
+    }
+
+    /// The `for_workload*` and `for_trace` tail: the algorithm's default
+    /// predictor unless `predictor` overrides it, and its energy model.
+    fn for_streams(
+        machine: MachineConfig,
+        algorithm: Algorithm,
+        predictor: Option<PredictorSpec>,
+        streams: Vec<Box<dyn AccessStream + Send>>,
+        limit: u64,
+    ) -> Result<Self, String> {
+        let predictor = predictor.unwrap_or_else(|| algorithm.default_predictor());
+        let energy = energy_model_for(&predictor);
+        Self::new(machine, algorithm, predictor, energy, streams, limit)
     }
 
     /// The algorithm under test.

@@ -191,7 +191,6 @@ impl Simulator {
             data_sent: false,
             resumed: false,
             data_pending: 0,
-            blocking,
             fill_state: CoherState::Sg,
             attempt: 0,
             attempt_start: leave,
@@ -486,12 +485,13 @@ impl Simulator {
         txn.resumed = true;
         let core = txn.core;
         let issued_at = txn.issue;
-        let blocking = txn.blocking;
-        if txn.op == TxnOp::Read {
+        // Reads block their core; writes drain from the store buffer.
+        let read = txn.op == TxnOp::Read;
+        if read {
             self.stats.read_latency.record((now - issued_at).as_u64());
         }
         self.txn_event(txn_id, now, TxnEvent::Completed);
-        if blocking {
+        if read {
             self.release_read_slot(core, now);
         }
     }

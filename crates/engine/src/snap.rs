@@ -281,6 +281,19 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
+    /// Reads the length prefix of `n` items that each encode in at least
+    /// `min_item_bytes` bytes, and rejects a count the bytes left could
+    /// not hold. Restores size allocations from this count, so a corrupt
+    /// (even correctly re-sealed) stream fails with
+    /// [`SnapError::Corrupt`] instead of aborting on a huge allocation.
+    pub fn get_len(&mut self, min_item_bytes: usize) -> Result<usize, SnapError> {
+        let n = self.get_usize()?;
+        if n.saturating_mul(min_item_bytes.max(1)) > self.remaining() {
+            return Err(SnapError::Corrupt("length prefix exceeds the bytes left"));
+        }
+        Ok(n)
+    }
+
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.take(1)?[0])
@@ -434,6 +447,28 @@ pub fn restore_bytes<T: Snapshot>(value: &mut T, bytes: &[u8]) -> Result<(), Sna
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn length_prefixes_must_fit_the_bytes_left() {
+        let mut w = SnapWriter::new();
+        w.put_usize(2);
+        w.put_u32(7);
+        w.put_u32(9);
+        let buf = w.into_bytes();
+        assert_eq!(SnapReader::new(&buf).get_len(4), Ok(2));
+        // Two 8-byte items cannot fit in the 8 bytes that follow.
+        assert!(matches!(
+            SnapReader::new(&buf).get_len(8),
+            Err(SnapError::Corrupt(_))
+        ));
+        let mut w = SnapWriter::new();
+        w.put_usize(1 << 40);
+        let huge = w.into_bytes();
+        assert!(matches!(
+            SnapReader::new(&huge).get_len(1),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
 
     #[test]
     fn primitives_round_trip() {

@@ -182,7 +182,7 @@ impl Snapshot for Histogram {
     }
 
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.get_usize()?;
+        let n = r.get_len(8)?;
         let mut buckets = Vec::with_capacity(n);
         for _ in 0..n {
             buckets.push(r.get_u64()?);
@@ -199,6 +199,20 @@ impl Snapshot for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_histogram_bucket_count_is_corrupt() {
+        // A re-sealed stream may claim any bucket count; restore must
+        // reject one the bytes cannot hold rather than allocate for it.
+        let mut w = SnapWriter::new();
+        w.put_usize(1 << 40);
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        let err = Histogram::new()
+            .restore_from(&mut SnapReader::new(&bytes))
+            .unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
+    }
 
     #[test]
     fn mean_basics() {

@@ -568,8 +568,7 @@ impl FaultState {
 /// overlay contract). Re-arming a plan with a different budget is legal as
 /// long as the budget covers the faults already spent: faults are consumed
 /// in draw order, so the resumed run continues the same fault schedule
-/// truncated at the new budget — the property chaos-shrinker bisection
-/// relies on.
+/// truncated at the new budget.
 impl Snapshot for FaultState {
     fn save_into(&self, w: &mut SnapWriter) {
         w.put_u64(self.rng.state());
@@ -835,9 +834,8 @@ mod tests {
 
     #[test]
     fn snapshot_resume_under_smaller_budget_truncates_schedule() {
-        // The property chaos bisection relies on: resuming a snapshot into
-        // a plan with budget b >= spent behaves exactly like a from-scratch
-        // run with budget b.
+        // Resuming a snapshot into a plan with budget b >= spent behaves
+        // exactly like a from-scratch run with budget b.
         let mut plan = FaultPlan::random(7, 8, 2);
         plan.budget = 20;
         let mut live = FaultState::new(plan.clone());

@@ -45,6 +45,7 @@ use flexsnoop_bench::sweeps::{
 use flexsnoop_bench::{
     aggregate, paper_workloads, render_aggregate, run_matrix_instrumented, CellResult, SEED,
 };
+use flexsnoop_engine::snap::fnv1a;
 use flexsnoop_engine::{Cycle, Cycles};
 use flexsnoop_metrics::{Histogram, Table};
 use flexsnoop_serve::{ResultsCache, ServiceOptions, ServiceStats, SweepRequest, SweepService};
@@ -961,7 +962,7 @@ impl Section {
     fn to_artifact(&self, volatile: &VolatileContext) -> Artifact {
         let fingerprint = {
             let canonical = format!("{SCHEMA}/{}/{}", self.slug, self.config.render());
-            format!("{:016x}", fnv1a64(canonical.as_bytes()))
+            format!("{:016x}", fnv1a(canonical.as_bytes()))
         };
         let mut config_pairs = match &self.config {
             Json::Obj(pairs) => pairs.clone(),
@@ -1101,17 +1102,6 @@ fn histogram_json(h: &Histogram) -> Json {
 
 fn note(summary: &mut String, what: &str, ms: u128) {
     let _ = writeln!(summary, "{what}: {ms} ms");
-}
-
-/// FNV-1a 64-bit, used for the config fingerprint (stable across runs
-/// and platforms; not cryptographic).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Strips every line carrying a `"volatile"` object, for byte-comparing

@@ -20,12 +20,13 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use flexsnoop::{energy_model_for, Algorithm, MachineConfig, PredictorSpec, Simulator, VecStream};
+use flexsnoop_engine::snap::fnv1a;
 use flexsnoop_engine::Cycles;
 use flexsnoop_metrics::Table;
 use flexsnoop_workload::{AccessStream, LineAddr, MemAccess};
 
 use crate::json::Json;
-use crate::{fnv1a64, Artifact, VolatileContext};
+use crate::{Artifact, VolatileContext};
 
 /// The scale-artifact schema identifier; bump when the layout changes.
 pub const SCALE_SCHEMA: &str = "flexsnoop-bench-scale/v2";
@@ -234,7 +235,7 @@ pub fn run_scale(opts: &ScaleOptions) -> ScaleReport {
     ]);
     let fingerprint = {
         let canonical = format!("{SCALE_SCHEMA}/scale/{}", config.render());
-        format!("{:016x}", fnv1a64(canonical.as_bytes()))
+        format!("{:016x}", fnv1a(canonical.as_bytes()))
     };
     let mut config_pairs = match &config {
         Json::Obj(pairs) => pairs.clone(),

@@ -6,37 +6,103 @@
 //! algorithm's run and reports one line per broken property. The chaos
 //! campaign's historical failure predicate is exactly
 //! [`chaos_expectations`] evaluated in order, so a scenario that fails
-//! renders the same messages a chaos reproducer does.
+//! renders the same messages a chaos reproducer does; the differential
+//! matrix checks its own set ([`Expectation::ExactSupply`] in place of
+//! the fault-relaxed supply check) over the same record.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use flexsnoop::{RunStats, Violation};
-use flexsnoop_mem::LineAddr;
+use flexsnoop::{FaultStats, RunStats, Violation};
+use flexsnoop_mem::{CoherState, LineAddr};
 
-/// Everything observable from one finished run, in the shape the
-/// expectations consume. The runner fills this from the simulator; the
-/// chaos campaign fills it from its own outcome record.
+/// A canonical `(line, cmp, core, state)` snapshot of every resident L2
+/// line, sorted.
+pub type LineStates = Vec<(LineAddr, usize, usize, CoherState)>;
+
+/// Everything observable from one finished run: the one outcome record
+/// of the scenario runner, the chaos campaign and the differential
+/// matrix, filled by [`Replay::run`](crate::Replay::run).
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Final run statistics.
     pub stats: RunStats,
+    /// Ring and torus faults the run's plan injected.
+    pub fault_stats: FaultStats,
     /// Invariant-oracle violations recorded during the run.
     pub violations: Vec<Violation>,
+    /// Timeline walkthrough of the first violating transaction, when the
+    /// run was replayed with one ([`Replay::walkthrough`](crate::Replay::walkthrough)).
+    pub walkthrough: Option<String>,
     /// Result of the final Figure 2(b) coherence sweep.
     pub coherence: Result<(), String>,
     /// Transactions still in flight at the end (must be zero).
     pub in_flight: usize,
     /// Lines still in degraded (Lazy-forwarding) mode at the end.
     pub degraded_lines: u64,
-    /// Lines that ended the run dirty (`D`/`T`) anywhere.
-    pub dirty_lines: Vec<LineAddr>,
+    /// Final line states.
+    pub snapshot: LineStates,
     /// Lines the replayed trace actually wrote.
     pub written: BTreeSet<LineAddr>,
     /// Cycle at which the last scheduled disruption ended: the latest
     /// partition heal or churn re-add (0 when the scenario schedules
     /// neither). Recovery expectations measure from here.
     pub last_disruption_end: u64,
+}
+
+impl RunOutcome {
+    /// Every broken expectation, one line each, in `expectations` order.
+    pub fn check(&self, expectations: &[Expectation]) -> Vec<String> {
+        expectations.iter().flat_map(|e| e.check(self)).collect()
+    }
+
+    /// Compares a rerun of the same configuration that varied only
+    /// `what` (the queue backend or the executor width): the two must be
+    /// bit-for-bit identical. One line per part that differs, the
+    /// statistics first, then the final line states with the first entry
+    /// only one run holds as the witness; empty when identical.
+    pub fn identity_breaks(&self, rerun: &RunOutcome, what: &str) -> Vec<String> {
+        let mut breaks = Vec::new();
+        if self.stats != rerun.stats {
+            breaks.push(format!(
+                "RunStats differ across {what} (must be bit-for-bit identical)"
+            ));
+        }
+        if self.snapshot != rerun.snapshot {
+            breaks.push(match first_state_diff(&self.snapshot, &rerun.snapshot) {
+                Some(d) => format!("final line states differ across {what}: {d}"),
+                None => format!("final line states differ across {what}"),
+            });
+        }
+        breaks
+    }
+}
+
+/// The first `(line, cmp, core, state)` entry present in only one of two
+/// snapshots — the minimized witness for a state divergence. Snapshots
+/// are already canonically sorted, so a two-pointer walk finds it.
+fn first_state_diff(a: &LineStates, b: &LineStates) -> Option<String> {
+    let render = |side: &str, (line, cmp, core, st): (LineAddr, usize, usize, CoherState)| {
+        format!("only in {side}: {st}@cmp{cmp}/core{core} for {line}")
+    };
+    let key =
+        |(line, cmp, core, st): (LineAddr, usize, usize, CoherState)| (line, cmp, core, st as u8);
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match key(a[i]).cmp(&key(b[j])) {
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Less => return Some(render("first", a[i])),
+            std::cmp::Ordering::Greater => return Some(render("second", b[j])),
+        }
+    }
+    if i < a.len() {
+        Some(render("first", a[i]))
+    } else {
+        b.get(j).map(|&e| render("second", e))
+    }
 }
 
 /// One declarative post-run health check.
@@ -51,6 +117,9 @@ pub enum Expectation {
     /// faults a retried read may be supplied twice — never less than
     /// once.
     SupplyAccounting,
+    /// Every read was supplied exactly once, by cache or memory: the
+    /// lossless identity (no retry can supply a read twice).
+    ExactSupply,
     /// Only lines the trace wrote may end dirty.
     NoRogueDirty,
     /// No recovery timeout fires more than this many cycles after the
@@ -73,10 +142,15 @@ impl Expectation {
         match *self {
             Expectation::CoherenceClean => {
                 if let Some(v) = out.violations.first() {
-                    reasons.push(format!(
+                    let mut reason = format!(
                         "invariant oracle recorded {} violation(s); first: {v}",
                         out.violations.len()
-                    ));
+                    );
+                    if let Some(walk) = &out.walkthrough {
+                        reason.push('\n');
+                        reason.push_str(walk);
+                    }
+                    reasons.push(reason);
                 }
                 if let Err(e) = &out.coherence {
                     reasons.push(format!("final coherence sweep failed: {e}"));
@@ -103,12 +177,21 @@ impl Expectation {
                     ));
                 }
             }
+            Expectation::ExactSupply => {
+                let s = &out.stats;
+                if s.read_txns != s.reads_cache_supplied + s.reads_from_memory {
+                    reasons.push(format!(
+                        "read supply accounting broken: {} txns != {} cache + {} memory",
+                        s.read_txns, s.reads_cache_supplied, s.reads_from_memory
+                    ));
+                }
+            }
             Expectation::NoRogueDirty => {
                 let rogue: Vec<LineAddr> = out
-                    .dirty_lines
+                    .snapshot
                     .iter()
-                    .filter(|l| !out.written.contains(l))
-                    .copied()
+                    .filter(|&&(line, _, _, st)| st.is_dirty() && !out.written.contains(&line))
+                    .map(|&(line, _, _, _)| line)
                     .collect();
                 if !rogue.is_empty() {
                     reasons.push(format!("dirty lines never written by the trace: {rogue:?}"));
@@ -177,6 +260,7 @@ impl Expectation {
             "coherence-clean" => bare(Expectation::CoherenceClean),
             "all-retired" => bare(Expectation::AllRetired),
             "supply-accounting" => bare(Expectation::SupplyAccounting),
+            "exact-supply" => bare(Expectation::ExactSupply),
             "no-rogue-dirty" => bare(Expectation::NoRogueDirty),
             "no-spurious-retries-after-probation" => {
                 bare(Expectation::NoSpuriousRetriesAfterProbation)
@@ -195,6 +279,7 @@ impl fmt::Display for Expectation {
             Expectation::CoherenceClean => write!(f, "coherence-clean"),
             Expectation::AllRetired => write!(f, "all-retired"),
             Expectation::SupplyAccounting => write!(f, "supply-accounting"),
+            Expectation::ExactSupply => write!(f, "exact-supply"),
             Expectation::NoRogueDirty => write!(f, "no-rogue-dirty"),
             Expectation::RecoversWithin(c) => write!(f, "recovers-within {c}"),
             Expectation::MaxDegradedLines(n) => write!(f, "max-degraded-lines {n}"),
@@ -225,11 +310,13 @@ mod tests {
     fn clean_outcome() -> RunOutcome {
         RunOutcome {
             stats: RunStats::new(flexsnoop_metrics::EnergyModel::paper_baseline()),
+            fault_stats: FaultStats::default(),
             violations: Vec::new(),
+            walkthrough: None,
             coherence: Ok(()),
             in_flight: 0,
             degraded_lines: 0,
-            dirty_lines: Vec::new(),
+            snapshot: Vec::new(),
             written: BTreeSet::new(),
             last_disruption_end: 0,
         }
@@ -242,6 +329,7 @@ mod tests {
             Expectation::CoherenceClean,
             Expectation::AllRetired,
             Expectation::SupplyAccounting,
+            Expectation::ExactSupply,
             Expectation::NoRogueDirty,
             Expectation::RecoversWithin(0),
             Expectation::MaxDegradedLines(0),
@@ -258,7 +346,10 @@ mod tests {
         out.in_flight = 2;
         out.stats.robustness.unfinished_cores = 1;
         out.stats.read_txns = 5;
-        out.dirty_lines = vec![LineAddr(0x40)];
+        out.snapshot = vec![
+            (LineAddr(0x40), 0, 1, CoherState::D),
+            (LineAddr(0x80), 1, 0, CoherState::Sg),
+        ];
         let reasons: Vec<String> = chaos_expectations()
             .iter()
             .flat_map(|e| e.check(&out))
@@ -271,6 +362,58 @@ mod tests {
                 "1 core(s) stranded mid-stream".to_string(),
                 "read supply accounting broken: 5 txns > 0 cache + 0 memory".to_string(),
                 "dirty lines never written by the trace: [LineAddr(64)]".to_string(),
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_supply_rejects_double_supplies_the_relaxed_check_allows() {
+        let mut out = clean_outcome();
+        out.stats.read_txns = 2;
+        out.stats.reads_cache_supplied = 2;
+        out.stats.reads_from_memory = 1;
+        assert!(Expectation::SupplyAccounting.check(&out).is_empty());
+        assert_eq!(
+            Expectation::ExactSupply.check(&out),
+            vec!["read supply accounting broken: 2 txns != 2 cache + 1 memory".to_string()]
+        );
+    }
+
+    #[test]
+    fn a_walkthrough_rides_on_the_first_violation_line() {
+        let mut out = clean_outcome();
+        out.violations = vec![Violation {
+            txn: flexsnoop::TxnId(3),
+            at: flexsnoop_engine::Cycle::new(90),
+            line: LineAddr(0x40),
+            what: "two suppliers".into(),
+        }];
+        out.walkthrough = Some("txn walk".into());
+        let reasons = Expectation::CoherenceClean.check(&out);
+        assert_eq!(reasons.len(), 1);
+        assert!(
+            reasons[0].ends_with("two suppliers\ntxn walk"),
+            "{reasons:?}"
+        );
+    }
+
+    #[test]
+    fn identity_breaks_name_the_first_differing_state() {
+        let a = clean_outcome();
+        let mut b = clean_outcome();
+        assert!(a.identity_breaks(&b, "queue backends").is_empty());
+        b.stats.read_txns = 1;
+        b.snapshot = vec![(LineAddr(0x40), 0, 1, CoherState::D)];
+        assert_eq!(
+            a.identity_breaks(&b, "queue backends"),
+            vec![
+                "RunStats differ across queue backends (must be bit-for-bit identical)"
+                    .to_string(),
+                format!(
+                    "final line states differ across queue backends: only in second: {}@cmp0/core1 for {}",
+                    CoherState::D,
+                    LineAddr(0x40)
+                ),
             ]
         );
     }
@@ -309,6 +452,7 @@ mod tests {
             Expectation::CoherenceClean,
             Expectation::AllRetired,
             Expectation::SupplyAccounting,
+            Expectation::ExactSupply,
             Expectation::NoRogueDirty,
             Expectation::RecoversWithin(30_000),
             Expectation::MaxDegradedLines(4),

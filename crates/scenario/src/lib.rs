@@ -28,23 +28,28 @@
 //! builtins ([`builtin`]). The expectation set is shared with the chaos
 //! campaign: [`chaos_expectations`] reproduces the campaign's historical
 //! failure predicate verbatim, so chaos reproducers and scenario reports
-//! speak the same language.
+//! speak the same language. So is the replay path: [`Replay`] builds,
+//! runs and collects every run of the scenario runner, the chaos
+//! campaign and the differential matrix.
 //!
 //! | Module | Contents |
 //! |--------|----------|
 //! | [`spec`] | [`Scenario`], [`PhaseSpec`], the builder, builtins. |
-//! | [`expect`] | [`Expectation`], [`RunOutcome`], the checks. |
+//! | [`expect`] | [`Expectation`], [`RunOutcome`], the checks and the backend comparison. |
+//! | [`replay`] | [`Replay`]: the shared build-run-collect path. |
 //! | [`text`] | The line-oriented scenario text format. |
 //! | [`run`] | [`run_scenario`] and the [`ScenarioReport`]. |
 
 #![warn(missing_docs)]
 
 pub mod expect;
+pub mod replay;
 pub mod run;
 pub mod spec;
 pub mod text;
 
-pub use expect::{chaos_expectations, Expectation, RunOutcome};
+pub use expect::{chaos_expectations, Expectation, LineStates, RunOutcome};
+pub use replay::Replay;
 pub use run::{default_algorithms, run_scenario, AlgorithmVerdict, RunOptions, ScenarioReport};
 pub use spec::{
     builtin, builtin_names, ChaosSpec, PhaseSpec, Scenario, ScenarioBuilder, TopologyBuilder,

@@ -9,20 +9,13 @@
 //! backend and compared bit-for-bit (the repo's core determinism
 //! invariant must survive every disruption a scenario can schedule).
 
-use std::collections::BTreeSet;
-
-use flexsnoop::{
-    default_hier, energy_model_for, Algorithm, FaultPlan, MachineConfig, RunStats, Simulator,
-    VecStream,
-};
+use flexsnoop::{Algorithm, FaultPlan, MachineConfig, RunStats, VecStream};
 use flexsnoop_engine::{Executor, QueueKind};
-use flexsnoop_mem::{CoherState, LineAddr};
 use flexsnoop_workload::{
-    profiles, AccessStream, PhasedStream, PoolSpec, StreamPhase, SyntheticStream, Trace,
-    WorkloadProfile,
+    profiles, PhasedStream, PoolSpec, StreamPhase, SyntheticStream, Trace, WorkloadProfile,
 };
 
-use crate::{PhaseSpec, RunOutcome, Scenario};
+use crate::{PhaseSpec, Replay, Scenario};
 
 /// The four predictor-driven Table 3 algorithms, in table order — the
 /// default matrix a scenario runs against.
@@ -240,60 +233,6 @@ fn core_stream(s: &Scenario, core: usize) -> Result<PhasedStream, String> {
     Ok(PhasedStream::new(chain))
 }
 
-/// One run's collected observables (for expectations and the
-/// bit-identity diff).
-struct Collected {
-    stats: RunStats,
-    snapshot: Vec<(LineAddr, usize, usize, CoherState)>,
-    outcome: RunOutcome,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_backend(
-    s: &Scenario,
-    machine: &MachineConfig,
-    trace: &Trace,
-    plan: &FaultPlan,
-    written: &BTreeSet<LineAddr>,
-    limit: u64,
-    alg: Algorithm,
-    kind: QueueKind,
-) -> Result<Collected, String> {
-    let predictor = alg.default_predictor();
-    let energy = energy_model_for(&predictor);
-    let streams: Vec<Box<dyn AccessStream + Send>> = VecStream::from_trace(trace)
-        .into_iter()
-        .map(|v| Box::new(v) as Box<dyn AccessStream + Send>)
-        .collect();
-    let mut sim = Simulator::new(*machine, alg, predictor, energy, streams, limit)?;
-    sim.use_event_queue(kind);
-    sim.enable_invariant_checks();
-    sim.set_fault_plan(plan.clone());
-    sim.set_churn_plan(s.churn.clone())?;
-    let stats = sim.run();
-    let snapshot = sim.state_snapshot();
-    let dirty_lines = snapshot
-        .iter()
-        .filter(|(_, _, _, st)| st.is_dirty())
-        .map(|&(line, _, _, _)| line)
-        .collect();
-    let outcome = RunOutcome {
-        stats: stats.clone(),
-        violations: sim.violations().to_vec(),
-        coherence: sim.validate_coherence(),
-        in_flight: sim.in_flight(),
-        degraded_lines: sim.degraded_line_count() as u64,
-        dirty_lines,
-        written: written.clone(),
-        last_disruption_end: s.last_disruption_end(),
-    };
-    Ok(Collected {
-        stats,
-        snapshot,
-        outcome,
-    })
-}
-
 /// Runs a scenario: records its composite trace once, replays it under
 /// every requested algorithm with the disruption schedule armed, and
 /// evaluates the expectations.
@@ -321,27 +260,15 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> Result<ScenarioReport, S
         .map(|core| core_stream(s, core))
         .collect::<Result<Vec<_>, _>>()?;
     let trace = Trace::record(&mut streams, u64::MAX);
-    let limit = (0..trace.cores())
-        .map(|c| trace.core(c).len() as u64)
-        .max()
-        .unwrap_or(0);
-    let written: BTreeSet<LineAddr> = (0..trace.cores())
-        .flat_map(|c| trace.core(c).iter())
-        .filter(|a| a.write)
-        .map(|a| a.line)
-        .collect();
-    let mut machine = MachineConfig {
-        nodes: s.nodes,
-        ..MachineConfig::isca2006(1)
-    };
-    if let Some((local, groups)) = s.hier {
-        machine.ring.hier = Some(default_hier(local, groups));
-    }
+    let machine = MachineConfig::for_cores(trace.cores(), s.nodes, s.hier)?;
     let mut plan = match &s.chaos {
         Some(c) => FaultPlan::random(c.seed, s.nodes, machine.ring.rings).with_budget(c.budget),
         None => FaultPlan::lossless(),
     };
     plan.partitions = s.partitions.clone();
+    let mut replay = Replay::new(&trace, machine);
+    replay.churn = s.churn.clone();
+    replay.last_disruption_end = s.last_disruption_end();
 
     let algorithms: Vec<Algorithm> = if opts.smoke {
         opts.algorithms.iter().copied().take(2).collect()
@@ -351,48 +278,20 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> Result<ScenarioReport, S
     let tasks: Vec<_> = algorithms
         .iter()
         .map(|&alg| {
-            let (s, machine, trace, plan, written) = (s, &machine, &trace, &plan, &written);
-            let smoke = opts.smoke;
+            let (replay, plan, smoke) = (&replay, &plan, opts.smoke);
             move || -> Result<AlgorithmVerdict, String> {
-                let heap = run_backend(
-                    s,
-                    machine,
-                    trace,
-                    plan,
-                    written,
-                    limit,
-                    alg,
-                    QueueKind::Heap,
-                )?;
-                let mut failures: Vec<String> = s
-                    .expectations
-                    .iter()
-                    .flat_map(|e| e.check(&heap.outcome))
-                    .collect();
-                let mut determinism_checked = false;
+                let heap = replay.run(alg, QueueKind::Heap, Some(plan))?;
+                let mut failures = heap.check(&s.expectations);
                 if !smoke {
-                    let bucketed = run_backend(
-                        s,
-                        machine,
-                        trace,
-                        plan,
-                        written,
-                        limit,
-                        alg,
-                        QueueKind::Bucketed,
-                    )?;
-                    determinism_checked = true;
-                    if bucketed.stats != heap.stats || bucketed.snapshot != heap.snapshot {
-                        failures.push(
-                            "run diverges across queue backends (must be bit-for-bit)".into(),
-                        );
-                    }
+                    let bucketed = replay.run(alg, QueueKind::Bucketed, Some(plan))?;
+                    failures
+                        .extend(heap.identity_breaks(&bucketed, "queue backends Heap vs Bucketed"));
                 }
                 Ok(AlgorithmVerdict {
                     algorithm: alg,
                     failures,
                     stats: heap.stats,
-                    determinism_checked,
+                    determinism_checked: !smoke,
                 })
             }
         })
@@ -407,7 +306,7 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> Result<ScenarioReport, S
         nodes: s.nodes,
         hier: s.hier,
         seed: s.seed,
-        accesses_per_core: limit,
+        accesses_per_core: trace.accesses_per_core(),
         smoke: opts.smoke,
         verdicts,
     })

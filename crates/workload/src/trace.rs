@@ -44,6 +44,16 @@ impl Trace {
         self.per_core.len()
     }
 
+    /// The longest core's access count: the per-core limit that replays
+    /// every recorded access.
+    pub fn accesses_per_core(&self) -> u64 {
+        self.per_core
+            .iter()
+            .map(|c| c.len() as u64)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Appends one access to a core's stream.
     ///
     /// # Panics

@@ -7,8 +7,8 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use flexsnoop::{energy_model_for, Algorithm, MachineConfig, Simulator, VecStream};
-use flexsnoop_workload::{profiles, AccessStream, Trace};
+use flexsnoop::{Algorithm, MachineConfig, Simulator};
+use flexsnoop_workload::{profiles, Trace};
 
 fn main() -> Result<(), String> {
     // 1. Record a trace from the SPECjbb generator.
@@ -28,25 +28,13 @@ fn main() -> Result<(), String> {
     println!("text format round trip: {} bytes", text.len());
 
     // 3. Replay the identical trace under each algorithm.
-    let machine = MachineConfig::isca2006(1);
+    let machine = MachineConfig::for_cores(parsed.cores(), 8, None)?;
     println!(
         "\n{:<12} {:>12} {:>10} {:>12}",
         "algorithm", "exec cycles", "snoops/rd", "energy [uJ]"
     );
     for alg in [Algorithm::Lazy, Algorithm::Eager, Algorithm::SupersetAgg] {
-        let streams: Vec<Box<dyn AccessStream + Send>> = VecStream::from_trace(&parsed)
-            .into_iter()
-            .map(|s| Box::new(s) as Box<dyn AccessStream + Send>)
-            .collect();
-        let predictor = alg.default_predictor();
-        let mut sim = Simulator::new(
-            machine,
-            alg,
-            predictor,
-            energy_model_for(&predictor),
-            streams,
-            profile.accesses_per_core,
-        )?;
+        let mut sim = Simulator::for_trace(&parsed, machine, alg, None)?;
         let s = sim.run();
         sim.validate_coherence()?;
         println!(

@@ -42,7 +42,7 @@ fn scheduler_push_pop(kind: QueueKind) -> u64 {
 /// 512-node ring issuing at once.
 const BURST: u64 = 512;
 
-/// Cycles between bursts: one near-wheel rotation.
+/// Cycles between bursts: one wheel block.
 const BURST_EVERY: Cycles = Cycles(4_096);
 
 /// Bursts per burst-bench run.
@@ -50,8 +50,8 @@ const BURSTS: u64 = 8;
 
 /// The hold model plus a `BURST`-event same-cycle burst every
 /// `BURST_EVERY` cycles. Burst events are not re-armed; when a burst
-/// starts to pop, the next one is pushed a rotation out, past the
-/// bucketed queue's near wheel. Runs until `BURSTS` bursts have started.
+/// starts to pop, the next one is pushed a block out, past the bucketed
+/// queue's wheel. Runs until `BURSTS` bursts have started.
 fn scheduler_burst(kind: QueueKind) -> u64 {
     let mut sched: Scheduler<u64> = Scheduler::with_queue(kind);
     let mut rng = SplitMix64::new(0xFEED);
@@ -81,9 +81,8 @@ fn scheduler_burst(kind: QueueKind) -> u64 {
     sum
 }
 
-/// Far-wheel entries kept pending in the bounded-pop bench: about one
-/// recovery timeout per in-flight transaction on a lossy 64-node
-/// hierarchy.
+/// Timeouts kept pending in the bounded-pop bench: about one recovery
+/// timeout per in-flight transaction on a lossy 64-node hierarchy.
 const TIMEOUTS: u64 = 150;
 
 /// Simulated cycles per `pop_before` slice, as in a sliced lossy run.
@@ -92,8 +91,8 @@ const SLICE: Cycles = Cycles(150_000);
 /// The hold model popped through [`Scheduler::pop_before`], the bounded
 /// run loop's queue call, with `TIMEOUTS` extra events re-armed 7–9k
 /// cycles out whenever one pops: the window recovery timeouts take on
-/// the lossy 64-node hierarchy. They sit in the bucketed queue's far
-/// wheel while hops churn the near one.
+/// the lossy 64-node hierarchy. They sit in the bucketed queue's heap
+/// while hops churn the wheel.
 fn scheduler_bounded_pop(kind: QueueKind) -> u64 {
     let mut sched: Scheduler<u64> = Scheduler::with_queue(kind);
     let mut rng = SplitMix64::new(0xFEED);

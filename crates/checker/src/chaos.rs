@@ -492,20 +492,28 @@ fn draw_plan(seed: u64, opts: &ChaosOptions, rings: usize) -> FaultPlan {
     plan
 }
 
-/// Shrinks a failing plan to a minimal reproducer: binary-search the
-/// smallest failing budget prefix, then drop whole fault kinds while the
-/// failure persists (fewest distinct faults, then fewest fault kinds).
-/// Every probe replays from cycle zero. Returns the minimized plan plus
-/// a note recording the shrink wall time and run count.
+/// Shrinks a failing plan to a minimal reproducer ([`shrink`]), probing
+/// each candidate with a full replay from cycle zero. Returns the
+/// minimized plan plus a note recording the shrink wall time and run
+/// count.
 fn shrink_plan(replay: &Replay, alg: Algorithm, plan: &FaultPlan) -> (FaultPlan, String) {
     let started = Instant::now();
     let mut runs = 0u32;
-    let mut fails = |p: &FaultPlan| {
+    let best = shrink(plan, |p| {
         runs += 1;
         replay
             .run(alg, QueueKind::Heap, Some(p))
             .is_ok_and(|out| !out.check(&chaos_expectations()).is_empty())
-    };
+    });
+    let note = format!("shrunk in {:.1?}: {runs} full run(s)", started.elapsed());
+    (best, note)
+}
+
+/// The shrink search over a failure predicate: binary-search the
+/// smallest failing budget prefix, then drop whole fault kinds while the
+/// failure persists (fewest distinct faults, then fewest fault kinds).
+/// No plan is probed twice.
+fn shrink(plan: &FaultPlan, mut fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
     let mut best = plan.clone();
     // Budget prefix: the plan draws faults in a fixed order, so budget b
     // replays the first b faults of the original schedule. `hi` is known
@@ -520,11 +528,12 @@ fn shrink_plan(replay: &Replay, alg: Algorithm, plan: &FaultPlan) -> (FaultPlan,
                 lo = mid + 1;
             }
         }
-        // Keep the prefix only if it fails on its own run: `with_budget`
-        // also clamps the torus budget, so even a full-length prefix can
-        // differ from the drawn plan.
+        // `hi` moves only on a failing probe, so if it moved, that probe
+        // was this very prefix. If it never moved, run the full-length
+        // prefix once: `with_budget` also clamps the torus budget, so it
+        // can differ from the drawn plan.
         let cand = best.with_budget(lo);
-        if fails(&cand) {
+        if lo < best.budget || fails(&cand) {
             best = cand;
         }
     }
@@ -549,8 +558,7 @@ fn shrink_plan(replay: &Replay, alg: Algorithm, plan: &FaultPlan) -> (FaultPlan,
             best = cand;
         }
     }
-    let note = format!("shrunk in {:.1?}: {runs} full run(s)", started.elapsed());
-    (best, note)
+    best
 }
 
 /// Runs a seeded chaos campaign over one workload profile.
@@ -751,6 +759,28 @@ mod tests {
             rendered.contains("shrunk in"),
             "shrink wall time missing from the report"
         );
+    }
+
+    /// The search probes no plan twice: when the budget search has moved
+    /// `hi`, its last failing probe was the prefix it keeps. Thresholds
+    /// 1 and 6 move `hi`; at 19 it never moves and the full-length prefix
+    /// is probed once.
+    #[test]
+    fn shrink_probes_no_plan_twice() {
+        let mut plan = FaultPlan::lossless();
+        plan.budget = 19;
+        plan.drop = 0.1;
+        plan.delay = 0.1;
+        for threshold in [1, 6, 19] {
+            let mut probed: Vec<FaultPlan> = Vec::new();
+            let best = shrink(&plan, |p| {
+                assert!(!probed.contains(p), "probed twice: {}", p.describe());
+                probed.push(p.clone());
+                p.budget >= threshold && p.drop > 0.0
+            });
+            assert_eq!(best.budget, threshold);
+            assert_eq!((best.drop, best.delay), (0.1, 0.0));
+        }
     }
 
     #[test]

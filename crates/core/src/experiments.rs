@@ -173,6 +173,51 @@ mod tests {
     }
 
     #[test]
+    fn record_and_replay_match() {
+        let profile = flexsnoop_workload::profiles::specweb();
+        let trace = Trace::record(&mut profile.streams(5), 100);
+        assert_eq!(trace.cores(), 8);
+
+        let mut fresh = profile.streams(5);
+        for (f, p) in fresh.iter_mut().zip(&mut replay_streams(&trace)) {
+            for _ in 0..100 {
+                assert_eq!(f.next_access(), p.next_access());
+            }
+            assert_eq!(p.next_access(), None, "trace is finite");
+        }
+    }
+
+    #[test]
+    fn vec_stream_snapshot_resumes_and_rejects_overrun() {
+        use flexsnoop_engine::snap::{restore_bytes, snapshot_bytes};
+        let profile = flexsnoop_workload::profiles::specweb();
+        let trace = Trace::record(&mut profile.streams(5), 20);
+
+        let mut stream = VecStream::from_trace(&trace).remove(0);
+        for _ in 0..7 {
+            stream.next_access();
+        }
+        let bytes = snapshot_bytes(&stream);
+        let mut fresh = VecStream::from_trace(&trace).remove(0);
+        restore_bytes(&mut fresh, &bytes).expect("restore");
+        loop {
+            let (a, b) = (stream.next_access(), fresh.next_access());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+
+        // A cursor past the end of a shorter trace must be rejected.
+        let short = Trace::record(&mut profile.streams(5), 3);
+        let mut short_stream = VecStream::from_trace(&short).remove(0);
+        assert!(matches!(
+            restore_bytes(&mut short_stream, &bytes),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    #[test]
     fn aggregator_groups_and_averages() {
         let mut agg = GroupAggregator::new();
         agg.record(WorkloadGroup::Splash2, 2.0);

@@ -1133,7 +1133,7 @@ impl Simulator {
     /// sync; returns what was dropped (counts only — no allocation, this
     /// runs once per write snoop).
     fn invalidate_cmp(&mut self, node: CmpId, line: LineAddr) -> InvalidateOutcome {
-        let dropped = self.cmps[node.0].invalidate_all_counted(line);
+        let dropped = self.cmps[node.0].invalidate_all(line);
         if dropped.copies > 0 {
             let entry = self
                 .residency

@@ -7,12 +7,11 @@
 //! threads only add context-switch and cache-thrash overhead.
 //!
 //! [`Executor`] instead runs a **fixed pool** of workers over the task
-//! list. Tasks are pre-distributed round-robin onto per-worker deques (plus
-//! a shared injector for spillover); an idle worker first drains its own
-//! deque from the front, then the injector, then **steals from the back**
-//! of a sibling's deque. Stealing from the opposite end keeps the common
-//! fast path (own front pop) and the steal path from contending on the
-//! same entries.
+//! list. Tasks are pre-distributed round-robin onto per-worker deques; an
+//! idle worker first drains its own deque from the front, then **steals
+//! from the back** of a sibling's deque. Stealing from the opposite end
+//! keeps the common fast path (own front pop) and the steal path from
+//! contending on the same entries.
 //!
 //! Results are returned **in task order**, so callers are deterministic
 //! regardless of worker count or interleaving — the property the
@@ -77,7 +76,7 @@ pub struct Executor {
 /// What one worker did during a [`Executor::run_with_stats`] batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Tasks this worker completed (own deque, injector, and steals).
+    /// Tasks this worker completed (own deque and steals).
     pub tasks: u64,
     /// Wall-clock time the worker spent inside task bodies.
     pub busy: Duration,
@@ -200,18 +199,14 @@ impl Executor {
                 }),
             );
         }
-        // Pre-distribute round-robin so every worker starts busy; the
-        // shared injector takes spillover (empty here, but it is the
-        // hand-off point if task submission ever becomes incremental).
+        // Pre-distribute round-robin so every worker starts busy.
         let mut locals: Vec<Mutex<VecDeque<(usize, F)>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         for (i, task) in tasks.into_iter().enumerate() {
             locals[i % workers].get_mut().unwrap().push_back((i, task));
         }
-        let injector: Mutex<VecDeque<(usize, F)>> = Mutex::new(VecDeque::new());
         let worker_stats: Mutex<Vec<(usize, WorkerStats)>> = Mutex::new(Vec::new());
         let locals = &locals;
-        let injector = &injector;
         let worker_stats = &worker_stats;
         let batch_start = Instant::now();
         type TaskResult<T> = Result<T, Box<dyn std::any::Any + Send>>;
@@ -229,9 +224,6 @@ impl Executor {
                         // the end of the statement), and two idle workers
                         // stealing from each other then deadlock AB-BA.
                         let mut job = lock_ignore_poison(&locals[w]).pop_front();
-                        if job.is_none() {
-                            job = lock_ignore_poison(injector).pop_front();
-                        }
                         if job.is_none() {
                             job = (1..workers).find_map(|off| {
                                 lock_ignore_poison(&locals[(w + off) % workers]).pop_back()

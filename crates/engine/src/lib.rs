@@ -179,10 +179,9 @@ impl<E> Scheduler<E> {
     /// Pops the next event if it is due before `stop`, advancing the clock
     /// to its timestamp; otherwise returns `None` and changes nothing.
     ///
-    /// This is the bounded run loop's one queue search per event. Calling
+    /// This is the bounded run loop's one queue search per event; calling
     /// [`peek_time`](Self::peek_time) and then [`pop`](Self::pop) searches
-    /// twice, and on the bucketed queue the peek may scan a whole far-wheel
-    /// bucket. A declined pop leaves the clock, the pending events and the
+    /// twice. A declined pop leaves the clock, the pending events and the
     /// floor for later pushes as they were, so `schedule_at(now())` stays
     /// legal after it.
     #[inline]
@@ -284,8 +283,8 @@ mod tests {
 
     /// A declined `pop_before` is invisible: the pending count, the next
     /// time, the clock and the order of every later pop are what they
-    /// would have been without it, on both backends, with the near wheel
-    /// holding events and with only far-wheel and overflow events left.
+    /// would have been without it, on both backends, with the wheel
+    /// holding events and with only heap events left.
     #[test]
     fn declined_pop_before_changes_nothing() {
         let times = [3u64, 3, 40, 9_000, 9_000, 12_345, 30_000_000];
@@ -317,9 +316,9 @@ mod tests {
     }
 
     /// The cursor contract: a declined `pop_before` must not move the
-    /// bucketed wheel's push floor past the clock (cascading the far
-    /// wheel would move it to the far bucket's start), so an event
-    /// scheduled at `now()` right after is accepted and pops first.
+    /// bucketed wheel's push floor past the clock (moving the wheel to
+    /// the next event's block would), so an event scheduled at `now()`
+    /// right after is accepted and pops first.
     #[test]
     fn schedule_at_now_after_declined_pop() {
         for kind in [QueueKind::Heap, QueueKind::Bucketed] {
@@ -328,7 +327,7 @@ mod tests {
             s.schedule_at(Cycle::new(9_000), "timeout");
             let first = s.pop_before(Cycle::new(11));
             assert_eq!(first, Some((Cycle::new(10), "first")));
-            // Only the far-wheel timeout is left: the near wheel is empty.
+            // Only the timeout is left, in the heap: the wheel is empty.
             assert_eq!(s.pop_before(Cycle::new(5_000)), None);
             assert_eq!(s.now(), Cycle::new(10));
             s.schedule_at(s.now(), "now");

@@ -48,8 +48,7 @@ pub struct SnoopResult {
     pub any_copy: bool,
 }
 
-/// What a CMP-wide invalidation dropped (allocation-free summary of
-/// [`CmpCaches::invalidate_all`]).
+/// What a CMP-wide invalidation dropped ([`CmpCaches::invalidate_all`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvalidateOutcome {
     /// Number of valid copies invalidated across the CMP's L2s.
@@ -256,33 +255,17 @@ impl CmpCaches {
     }
 
     /// Invalidates `line` everywhere in this CMP (a write snoop hit).
-    /// Returns the states the copies were in (empty if none were resident).
-    pub fn invalidate_all(&mut self, line: LineAddr) -> Vec<CoherState> {
-        let mut dropped = Vec::new();
-        if self.index.remove(&line).is_none() {
-            // No L2 holds the line, so (inclusive hierarchy) no L1 does
-            // either: nothing to do.
-            return dropped;
-        }
-        for (l1, l2) in self.l1s.iter_mut().zip(&mut self.l2s) {
-            l1.remove(line);
-            if let Some(state) = l2.invalidate(line) {
-                dropped.push(state);
-            }
-        }
-        dropped
-    }
-
-    /// Like [`invalidate_all`](Self::invalidate_all) but returns only the
-    /// counts the protocol acts on, so the per-write-snoop hot path does
-    /// not allocate a `Vec` of dropped states.
-    pub fn invalidate_all_counted(&mut self, line: LineAddr) -> InvalidateOutcome {
+    /// Returns the counts the protocol acts on, so the per-write-snoop hot
+    /// path does not allocate.
+    pub fn invalidate_all(&mut self, line: LineAddr) -> InvalidateOutcome {
         let mut out = InvalidateOutcome {
             copies: 0,
             had_supplier: false,
             strong_copies: 0,
         };
         if self.index.remove(&line).is_none() {
+            // No L2 holds the line, so (inclusive hierarchy) no L1 does
+            // either: nothing to do.
             return out;
         }
         for (l1, l2) in self.l1s.iter_mut().zip(&mut self.l2s) {
@@ -512,7 +495,7 @@ mod tests {
         c.fill(0, LineAddr(9), S);
         c.fill(1, LineAddr(9), Sl);
         let dropped = c.invalidate_all(LineAddr(9));
-        assert_eq!(dropped.len(), 2);
+        assert_eq!(dropped.copies, 2);
         assert!(!c.has_copy(LineAddr(9)));
         assert_eq!(c.local_lookup(0, LineAddr(9)), LocalLookup::Miss);
     }
@@ -555,8 +538,8 @@ mod tests {
         // identically keeps them in lock-step (debug builds cross-check the
         // index against a full tag scan on every snoop).
         assert_eq!(
-            c.invalidate_all_counted(LineAddr(9)),
-            fresh.invalidate_all_counted(LineAddr(9))
+            c.invalidate_all(LineAddr(9)),
+            fresh.invalidate_all(LineAddr(9))
         );
         assert_eq!(fresh.snoop(LineAddr(9)), c.snoop(LineAddr(9)));
     }

@@ -110,8 +110,8 @@ impl RingConfig {
 ///     hier: None,
 /// });
 /// let ring = net.ring_for(LineAddr(5));
-/// let arrival = net.send_hop(ring, CmpId(3), Cycle::new(100));
-/// assert_eq!(arrival, Cycle::new(100 + 4 + 39));
+/// let hop = net.send_hop_outcome(ring, CmpId(3), Cycle::new(100));
+/// assert_eq!(hop.arrival, Some(Cycle::new(100 + 4 + 39)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RingNetwork {
@@ -231,33 +231,10 @@ impl RingNetwork {
     }
 
     /// Sends one message over the link leaving `from` on ring `ring` at
-    /// time `now`; returns its arrival time at the next node downstream,
-    /// accounting for link occupancy (FIFO queueing) and propagation.
-    ///
-    /// Only valid on a lossless ring; callers that armed a fault plan
-    /// must use [`Self::send_hop_outcome`] so drops and duplicates are
-    /// observable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring` or `from` are out of range, or if a fault plan
-    /// is armed.
-    pub fn send_hop(&mut self, ring: usize, from: CmpId, now: Cycle) -> Cycle {
-        assert!(
-            self.faults.is_none(),
-            "send_hop on an unreliable ring; use send_hop_outcome"
-        );
-        let idx = self.link_index(ring, from);
-        let link = &mut self.links[idx];
-        let grant = link.acquire(now, self.config.link_service);
-        self.messages_sent += 1;
-        self.link_crossings += 1;
-        grant.end + self.config.hop_latency
-    }
-
-    /// [`Self::send_hop`] with fault injection: the message may be
-    /// dropped, duplicated or delayed per the armed [`FaultPlan`], and a
-    /// stall window covering `from` defers its departure.
+    /// time `now`: its arrival at the next node downstream, after link
+    /// occupancy (FIFO queueing) and propagation. With an armed
+    /// [`FaultPlan`] the message may be dropped, duplicated or delayed,
+    /// and a stall window covering `from` defers its departure.
     ///
     /// Dropped messages still occupy the link and count as crossings
     /// (the flit crosses part of the link before vanishing; energy is
@@ -265,8 +242,8 @@ impl RingNetwork {
     /// the same link. A hop whose link crosses an active partition
     /// boundary is refused: it occupies the link and counts, but never
     /// arrives, and no randomized fault is drawn for it (partitions are
-    /// deterministic and budget-free). Without an armed plan this is
-    /// exactly `send_hop`.
+    /// deterministic and budget-free). Without an armed plan every
+    /// message is delivered.
     ///
     /// # Panics
     ///
@@ -602,32 +579,36 @@ mod tests {
     #[test]
     fn hop_includes_service_and_propagation() {
         let mut n = net();
-        let t = n.send_hop(0, CmpId(0), Cycle::new(0));
-        assert_eq!(t, Cycle::new(43));
+        let t = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
+        assert_eq!(t, HopOutcome::delivered(Cycle::new(43)));
     }
 
     #[test]
     fn contention_queues_on_same_link() {
         let mut n = net();
-        let a = n.send_hop(0, CmpId(0), Cycle::new(0));
-        let b = n.send_hop(0, CmpId(0), Cycle::new(0));
-        assert_eq!(a, Cycle::new(43));
-        assert_eq!(b, Cycle::new(47), "second message serializes behind first");
+        let a = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
+        let b = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
+        assert_eq!(a.arrival, Some(Cycle::new(43)));
+        assert_eq!(
+            b.arrival,
+            Some(Cycle::new(47)),
+            "second message serializes behind first"
+        );
     }
 
     #[test]
     fn different_links_do_not_contend() {
         let mut n = net();
-        let a = n.send_hop(0, CmpId(0), Cycle::new(0));
-        let b = n.send_hop(0, CmpId(1), Cycle::new(0));
+        let a = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
+        let b = n.send_hop_outcome(0, CmpId(1), Cycle::new(0));
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_rings_do_not_contend() {
         let mut n = net();
-        let a = n.send_hop(0, CmpId(0), Cycle::new(0));
-        let b = n.send_hop(1, CmpId(0), Cycle::new(0));
+        let a = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
+        let b = n.send_hop_outcome(1, CmpId(0), Cycle::new(0));
         assert_eq!(a, b);
     }
 
@@ -649,24 +630,9 @@ mod tests {
     fn crossing_counter_accumulates() {
         let mut n = net();
         for i in 0..5 {
-            n.send_hop(0, CmpId(i % 8), Cycle::new(i as u64 * 100));
+            n.send_hop_outcome(0, CmpId(i % 8), Cycle::new(i as u64 * 100));
         }
         assert_eq!(n.link_crossings(), 5);
-    }
-
-    #[test]
-    fn lossless_outcome_matches_send_hop() {
-        let mut a = net();
-        let mut b = net();
-        b.set_fault_plan(crate::fault::FaultPlan::lossless()); // stays disarmed
-        for i in 0..20u64 {
-            let from = CmpId((i % 8) as usize);
-            let t = Cycle::new(i * 13);
-            let plain = a.send_hop(0, from, t);
-            let out = b.send_hop_outcome(0, from, t);
-            assert_eq!(out, crate::fault::HopOutcome::delivered(plain));
-        }
-        assert_eq!(a.link_crossings(), b.link_crossings());
     }
 
     #[test]
@@ -813,17 +779,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "send_hop on an unreliable ring")]
-    fn send_hop_rejects_armed_faults() {
-        let mut n = net();
-        let mut plan = crate::fault::FaultPlan::lossless();
-        plan.drop = 0.5;
-        plan.budget = 1;
-        n.set_fault_plan(plan);
-        n.send_hop(0, CmpId(0), Cycle::new(0));
-    }
-
-    #[test]
     #[should_panic(expected = "invalid ring config")]
     fn zero_rings_rejected() {
         RingNetwork::new(RingConfig {
@@ -893,10 +848,10 @@ mod tests {
         // local link leaving node 0 is yet another.
         let other = n.send_global_hop_outcome(0, CmpId(5), Cycle::new(0));
         assert_eq!(other, HopOutcome::delivered(Cycle::new(68)));
-        let local = n.send_hop(0, CmpId(0), Cycle::new(0));
+        let local = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
         assert_eq!(
             local,
-            Cycle::new(43),
+            HopOutcome::delivered(Cycle::new(43)),
             "local links do not contend with bridges"
         );
         // Same group's global link queues FIFO.

@@ -9,7 +9,6 @@
 
 use std::str::FromStr;
 
-use flexsnoop_engine::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use flexsnoop_engine::Cycles;
 use flexsnoop_mem::LineAddr;
 
@@ -66,14 +65,6 @@ impl Trace {
     /// The recorded accesses of one core.
     pub fn core(&self, core: usize) -> &[MemAccess] {
         &self.per_core[core]
-    }
-
-    /// Replay streams, one per core.
-    pub fn players(&self) -> Vec<TracePlayer<'_>> {
-        self.per_core
-            .iter()
-            .map(|accesses| TracePlayer { accesses, pos: 0 })
-            .collect()
     }
 
     /// Serializes to the text format: one `core r|w line think` per line.
@@ -144,60 +135,10 @@ impl FromStr for Trace {
     }
 }
 
-/// A replay stream over one core's slice of a [`Trace`].
-#[derive(Debug, Clone)]
-pub struct TracePlayer<'a> {
-    accesses: &'a [MemAccess],
-    pos: usize,
-}
-
-/// Serializes only the replay cursor; the trace itself is configuration.
-impl Snapshot for TracePlayer<'_> {
-    fn save_into(&self, w: &mut SnapWriter) {
-        w.put_usize(self.pos);
-    }
-
-    fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let pos = r.get_usize()?;
-        if pos > self.accesses.len() {
-            return Err(SnapError::Corrupt("replay cursor is past the trace end"));
-        }
-        self.pos = pos;
-        Ok(())
-    }
-}
-
-impl AccessStream for TracePlayer<'_> {
-    fn next_access(&mut self) -> Option<MemAccess> {
-        let a = self.accesses.get(self.pos).copied();
-        if a.is_some() {
-            self.pos += 1;
-        }
-        a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profiles;
-
-    #[test]
-    fn record_and_replay_match() {
-        let profile = profiles::specweb();
-        let mut streams = profile.streams(5);
-        let trace = Trace::record(&mut streams, 100);
-        assert_eq!(trace.cores(), 8);
-
-        let mut fresh = profile.streams(5);
-        let mut players = trace.players();
-        for (f, p) in fresh.iter_mut().zip(&mut players) {
-            for _ in 0..100 {
-                assert_eq!(f.next_access(), p.next_access());
-            }
-            assert_eq!(p.next_access(), None, "trace is finite");
-        }
-    }
 
     #[test]
     fn text_roundtrip() {
@@ -225,34 +166,6 @@ mod tests {
         assert!("0 r zz 5".parse::<Trace>().is_err());
         assert!("0 r 0x10".parse::<Trace>().is_err());
         assert!("0 r 0x10 5 extra".parse::<Trace>().is_err());
-    }
-
-    #[test]
-    fn player_snapshot_round_trip_resumes_and_rejects_overrun() {
-        use flexsnoop_engine::snap::{restore_bytes, snapshot_bytes};
-        let profile = profiles::specweb();
-        let mut streams = profile.streams(5);
-        let trace = Trace::record(&mut streams, 20);
-
-        let mut player = trace.players().remove(0);
-        for _ in 0..7 {
-            player.next_access();
-        }
-        let bytes = snapshot_bytes(&player);
-        let mut fresh = trace.players().remove(0);
-        restore_bytes(&mut fresh, &bytes).expect("restore");
-        loop {
-            let (a, b) = (player.next_access(), fresh.next_access());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-
-        // A cursor past the end of a shorter trace must be rejected.
-        let short = Trace::record(&mut profile.streams(5), 3);
-        let mut short_player = short.players().remove(0);
-        assert!(restore_bytes(&mut short_player, &bytes).is_err());
     }
 
     #[test]

@@ -134,8 +134,8 @@ fn heap_and_bucketed_queues_give_identical_stats() {
 
 /// A 16-node hierarchy (four local rings of four) whose bridge
 /// crossings drop: every in-flight transaction parks a recovery timeout
-/// thousands of cycles out, in the bucketed queue's far wheel, while
-/// ring hops and snoops fill the near wheel.
+/// thousands of cycles out, in the bucketed queue's heap, while ring hops
+/// and snoops fill the wheel.
 fn lossy_hier(kind: QueueKind) -> Simulator {
     let profile = profiles::consolidated()
         .with_cores(16)

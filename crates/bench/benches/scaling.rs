@@ -1,8 +1,10 @@
 //! Microbenchmarks for the million-node scaling substrate: event-queue
 //! push/pop throughput per `QueueKind` (unbounded, under same-cycle
-//! bursts, and through the bounded run loop's `pop_before`), and
-//! struct-of-arrays node-state access (the flat predictor bank and a full
-//! tiny-cache scale machine).
+//! bursts, and through the bounded run loop's `pop_before`),
+//! set-associative array probes and fills (a sparse and a full paper L2,
+//! and a scale-machine L2 that evicts on every fill), and struct-of-arrays
+//! node-state access (the flat predictor bank and a full tiny-cache scale
+//! machine).
 //!
 //! Macro numbers (events/sec, bytes/node at 1k/128k/1M nodes) come from
 //! `flexsnoop bench --scale`; these benches isolate the data structures
@@ -11,6 +13,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexsnoop::{energy_model_for, Algorithm, MachineConfig, Simulator, VecStream};
 use flexsnoop_engine::{Cycle, Cycles, QueueKind, Scheduler, SplitMix64};
+use flexsnoop_mem::{CacheGeometry, CoherState, SetAssocCache};
 use flexsnoop_predictor::PredictorSpec;
 use flexsnoop_workload::{AccessStream, LineAddr, MemAccess};
 
@@ -123,6 +126,84 @@ fn scheduler_bounded_pop(kind: QueueKind) -> u64 {
     sum
 }
 
+/// An empty L2 array of `machine`'s geometry.
+fn l2_array(machine: &MachineConfig) -> SetAssocCache<CoherState> {
+    let c = &machine.caches;
+    SetAssocCache::new(CacheGeometry::from_capacity(
+        c.l2_bytes,
+        c.l2_ways,
+        c.line_bytes,
+    ))
+}
+
+/// Lines one of the 64-node hierarchy's L2s holds at the end of a
+/// perfbench run.
+const SPARSE_LINES: usize = 260;
+
+/// The paper's L2 (1,024 sets × 8 ways) filled with `SPARSE_LINES`
+/// random lines, then probed `EVENTS` times, alternating resident lines
+/// and misses: the snoop and oracle probes a sparse L2 serves.
+fn cache_sparse_l2() -> u64 {
+    let mut l2 = l2_array(&MachineConfig::isca2006(4));
+    let mut rng = SplitMix64::new(0xFEED);
+    let lines: Vec<LineAddr> = (0..SPARSE_LINES)
+        .map(|_| LineAddr(rng.next_below(1 << 24)))
+        .collect();
+    for &line in &lines {
+        l2.insert(line, CoherState::E);
+    }
+    let mut hits = 0u64;
+    for i in 0..EVENTS {
+        let line = if i % 2 == 0 {
+            lines[i as usize / 2 % SPARSE_LINES]
+        } else {
+            LineAddr(rng.next_below(1 << 24))
+        };
+        hits += u64::from(l2.peek(line).is_some());
+    }
+    hits
+}
+
+/// The paper's L2 filled with twice its capacity in random lines, so
+/// nearly every set is full, then probed `EVENTS` times, alternating
+/// resident lines and misses: the full sets a long run leaves behind.
+fn cache_full_l2() -> u64 {
+    let mut l2 = l2_array(&MachineConfig::isca2006(4));
+    let mut rng = SplitMix64::new(0xF11);
+    let lines: Vec<LineAddr> = (0..2 * l2.geometry().entries())
+        .map(|_| LineAddr(rng.next_below(1 << 24)))
+        .collect();
+    for &line in &lines {
+        l2.insert(line, CoherState::E);
+    }
+    let resident: Vec<LineAddr> = l2.iter().map(|(line, _)| line).collect();
+    let mut hits = 0u64;
+    for i in 0..EVENTS {
+        let line = if i % 2 == 0 {
+            resident[rng.next_below(resident.len() as u64) as usize]
+        } else {
+            LineAddr(rng.next_below(1 << 24))
+        };
+        hits += u64::from(l2.peek(line).is_some());
+    }
+    hits
+}
+
+/// The scale machine's L2 (8 sets × 4 ways) filled with `EVENTS`
+/// distinct lines, so every fill past the first 32 evicts its set's LRU
+/// way; every other fill first promotes a resident line of its set.
+fn cache_full_set_churn() -> u64 {
+    let mut l2 = l2_array(&MachineConfig::scale(1));
+    let mut evictions = 0u64;
+    for i in 0..EVENTS {
+        if i % 2 == 0 && i >= 32 {
+            l2.get(LineAddr(i - 16));
+        }
+        evictions += u64::from(l2.insert(LineAddr(i), CoherState::S).is_some());
+    }
+    evictions
+}
+
 /// Sweeps predictions across a 100k-node flat Subset bank (the
 /// struct-of-arrays predictor layout).
 fn bank_sweep(nodes: usize, lookups: u64) -> u64 {
@@ -182,6 +263,13 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(scheduler_bounded_pop(kind)))
         });
     }
+    group.bench_function("cache_sparse_l2", |b| {
+        b.iter(|| black_box(cache_sparse_l2()))
+    });
+    group.bench_function("cache_full_l2", |b| b.iter(|| black_box(cache_full_l2())));
+    group.bench_function("cache_full_set_churn", |b| {
+        b.iter(|| black_box(cache_full_set_churn()))
+    });
     group.bench_function("soa_subset_bank_100k_nodes", |b| {
         b.iter(|| black_box(bank_sweep(100_000, 50_000)))
     });

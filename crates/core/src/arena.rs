@@ -58,6 +58,11 @@ impl<T> TxnArena<T> {
         self.live == 0
     }
 
+    /// Iterates over the live entries in slot order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|slot| slot.value.as_ref())
+    }
+
     /// Inserts `value`, returning the id that now refers to it.
     ///
     /// Reuses the most recently freed slot if one exists (LIFO), keeping

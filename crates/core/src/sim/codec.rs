@@ -1,5 +1,6 @@
-//! The snapshot codec: the configuration fingerprint and the sealed,
-//! versioned save/restore of all dynamic simulator state.
+//! The snapshot codec: the configuration fingerprint, the sealed,
+//! versioned save/restore of the dynamic simulator state, and the rebuild
+//! of the state it determines.
 
 use std::collections::VecDeque;
 
@@ -8,7 +9,7 @@ use flexsnoop_engine::{Cycle, Cycles, Scheduler};
 use flexsnoop_mem::{CmpId, CoherState, LineAddr};
 use flexsnoop_workload::MemAccess;
 
-use super::{Event, LineCopies, NodeState, Simulator, Txn, WriteData};
+use super::{Event, NodeState, Simulator, Txn, WriteData};
 use crate::config::TimeoutPolicy;
 use crate::message::{MsgKind, ReplyInfo, RingMsg, SnoopScope, TxnId, TxnOp};
 use crate::oracle::{ProtocolMutation, Violation};
@@ -100,14 +101,15 @@ impl Simulator {
     /// global dispatch order, the caches, predictors, presence filters,
     /// network link and port schedules, core cursors (including each
     /// access stream's RNG), in-flight transactions with their arena
-    /// generations, the sparse gateway map, residency and collision
-    /// tables, recovery state (RTT estimators, degraded-line probation),
-    /// and the statistics so far. The probe is *not* captured: a
-    /// restored run reports to whatever sink its caller installed, and
-    /// that sink sees only the rest of the run. That is what lets the
-    /// differential harness rewind with a [`Timeline`](crate::Timeline)
-    /// installed; it is also why a probe's counts after a restore cover
-    /// only the resumed part.
+    /// generations, the sparse gateway map, the collision waiters,
+    /// recovery state (RTT estimators, degraded-line probation), and the
+    /// statistics so far. State that is a function of those is not
+    /// stored; [`restore_snapshot`](Self::restore_snapshot) rebuilds it.
+    /// The probe is *not* captured: a restored run reports to whatever
+    /// sink its caller installed, and that sink sees only the rest of the
+    /// run. That is what lets the differential harness rewind with a
+    /// [`Timeline`](crate::Timeline) installed; it is also why a probe's
+    /// counts after a restore cover only the resumed part.
     ///
     /// Call between [`run_until`](Self::run_until) slices. Restoring
     /// ([`Self::restore_snapshot`]) onto a freshly built simulator of the
@@ -154,21 +156,6 @@ impl Simulator {
             w.put_u32(node);
             save_node_state(st, &mut w);
         }
-        let mut residency: Vec<_> = self.residency.iter().collect();
-        residency.sort_by_key(|&(l, _)| l.0);
-        w.put_usize(residency.len());
-        for (line, copies) in residency {
-            w.put_u64(line.0);
-            copies.save_into(&mut w);
-        }
-        let mut busy: Vec<_> = self.line_busy.iter().collect();
-        busy.sort_by_key(|&(l, _)| l.0);
-        w.put_usize(busy.len());
-        for (line, &(readers, writers)) in busy {
-            w.put_u64(line.0);
-            w.put_u32(readers);
-            w.put_u32(writers);
-        }
         let mut waiters: Vec<_> = self.line_waiters.iter().collect();
         waiters.sort_by_key(|&(l, _)| l.0);
         w.put_usize(waiters.len());
@@ -201,8 +188,6 @@ impl Simulator {
         for &d in &self.detached {
             w.put_bool(d);
         }
-        w.put_cycles(self.timeout_base);
-        w.put_cycles(self.timeout_floor);
         save_all(&self.rtt, &mut w);
         save_all(&self.locality, &mut w);
         self.stats.save_into(&mut w);
@@ -215,11 +200,8 @@ impl Simulator {
         if let Some(m) = &self.mutation {
             m.save_into(&mut w);
         }
-        w.put_usize(self.active_cores);
-        // The event queue comes last, where every SNAP v3 stream has it;
-        // the position is kept for format stability. Observing the global
-        // pop order requires draining; record the clock first — popping
-        // advances it.
+        // The event queue comes last. Observing the global pop order
+        // requires draining; record the clock first — popping advances it.
         let now0 = self.sched.now();
         w.put_cycle(now0);
         let mut events = Vec::with_capacity(self.sched.len());
@@ -248,6 +230,8 @@ impl Simulator {
     /// [`set_fault_plan`](Self::set_fault_plan) *before* restoring.
     /// The queue backend is a free choice: events are re-pushed in their
     /// saved pop order, which either backend pops back identically.
+    /// Derived state is rebuilt at the end, not decoded (see
+    /// [`rederive`](Self::rederive)).
     ///
     /// # Errors
     ///
@@ -299,20 +283,6 @@ impl Simulator {
             let node = r.get_u32()?;
             let st = load_node_state(&mut r)?;
             self.gateway.insert((txn, node), st);
-        }
-        self.residency.clear();
-        for _ in 0..r.get_usize()? {
-            let line = LineAddr(r.get_u64()?);
-            let mut copies = LineCopies::default();
-            copies.restore_from(&mut r)?;
-            self.residency.insert(line, copies);
-        }
-        self.line_busy.clear();
-        for _ in 0..r.get_usize()? {
-            let line = LineAddr(r.get_u64()?);
-            let readers = r.get_u32()?;
-            let writers = r.get_u32()?;
-            self.line_busy.insert(line, (readers, writers));
         }
         self.line_waiters.clear();
         for _ in 0..r.get_usize()? {
@@ -367,8 +337,6 @@ impl Simulator {
         for d in &mut self.detached {
             *d = r.get_bool()?;
         }
-        self.timeout_base = r.get_cycles()?;
-        self.timeout_floor = r.get_cycles()?;
         let what = "round-trip estimator count does not match the armed fault plan";
         restore_all(&mut self.rtt, &mut r, what)?;
         let what = "locality-table count does not match config";
@@ -393,7 +361,6 @@ impl Simulator {
         } else {
             None
         };
-        self.active_cores = r.get_usize()?;
         let now0 = r.get_cycle()?;
         for _ in 0..r.get_usize()? {
             let t = r.get_cycle()?;
@@ -402,7 +369,36 @@ impl Simulator {
         }
         self.sched.restore_clock(now0);
         self.started = started;
-        r.expect_eof()
+        r.expect_eof()?;
+        self.rederive();
+        Ok(())
+    }
+
+    /// Rebuilds what a snapshot does not store because the restored state
+    /// determines it: the machine-wide residency counts from every L2, the
+    /// per-line busy counts from the live transactions, and the number of
+    /// cores not yet done. (Each CMP's residency index is rebuilt by its
+    /// own restore; the timeout bounds were set when the fault plan was
+    /// armed before restoring.)
+    fn rederive(&mut self) {
+        let copies: Vec<(LineAddr, CoherState)> = self
+            .cmps
+            .iter()
+            .flat_map(|cmp| (0..cmp.cores()).flat_map(move |core| cmp.l2(core).iter()))
+            .collect();
+        self.residency.clear();
+        for (line, state) in copies {
+            self.residency_change(line, CoherState::I, state);
+        }
+        self.line_busy.clear();
+        for txn in self.txns.values() {
+            let slot = self.line_busy.entry(txn.line).or_insert((0, 0));
+            match txn.op {
+                TxnOp::Read => slot.0 += 1,
+                TxnOp::Write => slot.1 += 1,
+            }
+        }
+        self.active_cores = self.cores.iter().filter(|c| !c.done).count();
     }
 }
 
@@ -431,19 +427,6 @@ fn restore_all<T: Snapshot>(
         item.restore_from(r)?;
     }
     Ok(())
-}
-
-impl Snapshot for LineCopies {
-    fn save_into(&self, w: &mut SnapWriter) {
-        w.put_u32(self.copies);
-        w.put_u32(self.strong);
-    }
-
-    fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.copies = r.get_u32()?;
-        self.strong = r.get_u32()?;
-        Ok(())
-    }
 }
 
 fn load_access(r: &mut SnapReader<'_>) -> Result<MemAccess, SnapError> {
@@ -560,8 +543,6 @@ fn save_txn(t: &Txn, w: &mut SnapWriter) {
     w.put_bool(t.data_sent);
     w.put_bool(t.resumed);
     w.put_u32(t.data_pending);
-    // The retired blocking flag: implied by the op, kept in the layout.
-    w.put_bool(t.op == TxnOp::Read);
     t.fill_state.save_into(w);
     w.put_u32(t.attempt);
     w.put_cycle(t.attempt_start);
@@ -597,9 +578,6 @@ fn load_txn(r: &mut SnapReader<'_>) -> Result<Txn, SnapError> {
     let data_sent = r.get_bool()?;
     let resumed = r.get_bool()?;
     let data_pending = r.get_u32()?;
-    if r.get_bool()? != (op == TxnOp::Read) {
-        return Err(SnapError::Corrupt("blocking flag disagrees with the op"));
-    }
     let mut fill_state = CoherState::ALL[0];
     fill_state.restore_from(r)?;
     let attempt = r.get_u32()?;
@@ -735,9 +713,181 @@ fn load_event(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::algorithm::Algorithm;
-    use flexsnoop_workload::profiles;
+    use crate::config::MachineConfig;
+    use crate::sim::ChurnWindow;
+    use flexsnoop_net::FaultPlan;
+    use flexsnoop_predictor::PredictorSpec;
+    use flexsnoop_workload::{profiles, WorkloadProfile};
+
+    const SEED: u64 = 42;
+    const ACCESSES: u64 = 150;
+
+    fn specjbb() -> WorkloadProfile {
+        profiles::specjbb().with_accesses(ACCESSES)
+    }
+
+    fn on_specjbb(algorithm: Algorithm) -> Simulator {
+        Simulator::for_workload(&specjbb(), algorithm, None, SEED).unwrap()
+    }
+
+    /// Runs `build`'s machine in `step`-cycle slices to the first slice
+    /// end at which `at` holds, saves there, restores into a freshly built
+    /// twin, and checks that every derived field the restore rebuilt
+    /// equals the donor's live one.
+    fn assert_restore_rebuilds(
+        name: &str,
+        build: fn() -> Simulator,
+        step: u64,
+        at: fn(&Simulator) -> bool,
+    ) {
+        let mut donor = build();
+        let mut stop = 0;
+        loop {
+            stop += step;
+            donor.run_until(Some(Cycle::new(stop)));
+            assert!(
+                donor.pending_events() > 0,
+                "{name}: the run ended before its save point"
+            );
+            if at(&donor) {
+                break;
+            }
+        }
+        let bytes = donor.save_snapshot();
+        let mut restored = build();
+        restored.restore_snapshot(&bytes).unwrap();
+
+        assert_eq!(restored.residency, donor.residency, "{name}: residency");
+        assert_eq!(restored.line_busy, donor.line_busy, "{name}: line_busy");
+        assert_eq!(restored.active_cores, donor.active_cores, "{name}");
+        assert_eq!(restored.timeout_base, donor.timeout_base, "{name}");
+        assert_eq!(restored.timeout_floor, donor.timeout_floor, "{name}");
+        let lines: BTreeSet<LineAddr> = donor
+            .cmps
+            .iter()
+            .flat_map(|cmp| (0..cmp.cores()).flat_map(move |core| cmp.l2(core).iter()))
+            .map(|(line, _)| line)
+            .collect();
+        assert!(!lines.is_empty(), "{name}: no resident line to compare");
+        for (node, (live, rebuilt)) in donor.cmps.iter().zip(&restored.cmps).enumerate() {
+            // `local_lookup` refreshes LRU and L1 tags, so it runs on
+            // clones, and both clones see the same sequence of calls.
+            let (mut live_probe, mut rebuilt_probe) = (live.clone(), rebuilt.clone());
+            for &line in &lines {
+                assert_eq!(
+                    rebuilt.snoop(line),
+                    live.snoop(line),
+                    "{name}: {node}/{line}"
+                );
+                assert_eq!(
+                    rebuilt.has_copy(line),
+                    live.has_copy(line),
+                    "{name}: {node}/{line}"
+                );
+                for core in 0..live.cores() {
+                    assert_eq!(
+                        rebuilt_probe.local_lookup(core, line),
+                        live_probe.local_lookup(core, line),
+                        "{name}: {node}/{core}/{line}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rebuilds_exactly_what_the_donor_held() {
+        // 32 cores on 8 CMPs: a line held by two cores of one CMP, so the
+        // rebuilt per-CMP index has multi-core entries and peer slots.
+        assert_restore_rebuilds(
+            "barnes superset-agg",
+            || {
+                let barnes = profiles::splash2_apps().remove(0).with_accesses(ACCESSES);
+                Simulator::for_workload(&barnes, Algorithm::SupersetAgg, None, SEED).unwrap()
+            },
+            2_000,
+            |sim| {
+                !sim.txns.is_empty()
+                    && sim.cmps.iter().any(|cmp| {
+                        (0..cmp.cores()).any(|core| {
+                            cmp.l2(core).iter().any(|(line, _)| {
+                                (0..cmp.cores())
+                                    .filter(|&c| cmp.l2(c).state_of(line).is_valid())
+                                    .count()
+                                    > 1
+                            })
+                        })
+                    })
+            },
+        );
+        assert_restore_rebuilds(
+            "superset-con write filtering",
+            || {
+                let profile = specjbb();
+                let mut machine = MachineConfig::for_cores(profile.cores, 8, None).unwrap();
+                machine.policy.write_filtering = true;
+                Simulator::for_profile(&profile, machine, Algorithm::SupersetCon, None, SEED)
+                    .unwrap()
+            },
+            2_000,
+            |sim| sim.write_snoops_filtered > 0 && !sim.txns.is_empty(),
+        );
+        assert_restore_rebuilds(
+            "subset 4x4 bridge drops",
+            || {
+                let profile = profiles::consolidated()
+                    .with_cores(16)
+                    .with_cluster(4)
+                    .with_accesses(ACCESSES);
+                let mut sim =
+                    Simulator::for_workload_hier(&profile, Algorithm::Subset, None, SEED, 4, 4)
+                        .unwrap();
+                let mut plan = FaultPlan::lossless();
+                plan.seed = SEED;
+                plan.bridge_drop = 0.05;
+                plan.bridge_budget = u64::MAX;
+                sim.set_fault_plan(plan);
+                sim
+            },
+            1_000,
+            |sim| sim.txns.values().any(|t| t.attempt > 0),
+        );
+        assert_restore_rebuilds(
+            "lazy with a node detached",
+            || {
+                let mut sim = on_specjbb(Algorithm::Lazy);
+                let window = ChurnWindow {
+                    node: CmpId(2),
+                    remove_at: Cycle::new(20_000),
+                    readd_at: Cycle::new(60_000),
+                    warm: false,
+                };
+                sim.set_churn_plan(vec![window]).unwrap();
+                sim
+            },
+            2_000,
+            |sim| sim.detached.iter().any(|&d| d) && !sim.txns.is_empty(),
+        );
+        assert_restore_rebuilds(
+            "exact with downgrades",
+            || {
+                let table = PredictorSpec::Exact { entries: 16 };
+                Simulator::for_workload(&specjbb(), Algorithm::Exact, Some(table), SEED).unwrap()
+            },
+            2_000,
+            |sim| !sim.downgraded.is_empty() && !sim.txns.is_empty(),
+        );
+        assert_restore_rebuilds(
+            "lazy after a core finished",
+            || on_specjbb(Algorithm::Lazy),
+            2_000,
+            |sim| sim.cores.iter().any(|c| c.done) && !sim.txns.is_empty(),
+        );
+    }
 
     #[test]
     fn oversized_engaged_count_in_a_resealed_checkpoint_is_corrupt() {

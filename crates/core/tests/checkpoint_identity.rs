@@ -13,7 +13,7 @@ use flexsnoop::{
     energy_model_for, Algorithm, ChurnWindow, FaultPlan, MachineConfig, PartitionWindow,
     PredictorSpec, RunStats, Simulator,
 };
-use flexsnoop_engine::snap::{self, SnapError};
+use flexsnoop_engine::snap::{self, SnapError, SnapWriter, Snapshot};
 use flexsnoop_engine::{Cycle, Executor, QueueKind};
 use flexsnoop_mem::CmpId;
 use flexsnoop_workload::{profiles, AccessStream, WorkloadProfile};
@@ -29,23 +29,43 @@ fn fresh(algorithm: Algorithm) -> Simulator {
     Simulator::for_workload(&workload(), algorithm, None, SEED).expect("workload configures")
 }
 
-/// The uninterrupted reference run plus a mid-run save point (half the
-/// execution time, so plenty of transactions are in flight on each side).
-fn baseline_and_save_point(algorithm: Algorithm) -> (RunStats, Cycle) {
-    let stats = fresh(algorithm).run();
-    assert!(stats.events > 0);
-    let half = Cycle::new(stats.exec_cycles.as_u64() / 2);
-    (stats, half)
+/// Barnes under SupersetAgg: 32 cores on 8 CMPs, so peer L2s share lines
+/// (`SL` copies beside a supplier) and each CMP's residency index holds
+/// multi-core entries.
+fn barnes() -> Simulator {
+    let profile = profiles::splash2_apps().remove(0).with_accesses(ACCESSES);
+    Simulator::for_workload(&profile, Algorithm::SupersetAgg, None, SEED)
+        .expect("workload configures")
 }
+
+/// FNV-1a of the unsealed `RunStats` payload: the envelope carries the
+/// snapshot schema version, which must not move a results digest.
+fn stats_digest(stats: &RunStats) -> u64 {
+    let mut w = SnapWriter::new();
+    stats.save_into(&mut w);
+    snap::fnv1a(&w.into_bytes())
+}
+
+/// Builds one configuration's simulator, fresh each call.
+type Build = fn() -> Simulator;
 
 #[test]
 fn resume_matches_uninterrupted_run_across_backends_and_widths() {
-    for algorithm in [Algorithm::Lazy, Algorithm::SupersetAgg] {
-        let (baseline, save_at) = baseline_and_save_point(algorithm);
+    let runs: [(&str, Build); 3] = [
+        ("specjbb lazy", || fresh(Algorithm::Lazy)),
+        ("specjbb superset-agg", || fresh(Algorithm::SupersetAgg)),
+        ("barnes superset-agg", barnes),
+    ];
+    for (name, build) in runs {
+        // The uninterrupted reference run, and a save point at half its
+        // execution time, so plenty of transactions are in flight.
+        let baseline = build().run();
+        assert!(baseline.events > 0);
+        let save_at = Cycle::new(baseline.exec_cycles.as_u64() / 2);
 
         // Save mid-run, then let the donor finish: saving must not
         // perturb the run it interrupted.
-        let mut donor = fresh(algorithm);
+        let mut donor = build();
         let reached = donor.run_until(Some(save_at));
         assert!(reached <= save_at, "run_until overshot its stop cycle");
         let snapshot = donor.save_snapshot();
@@ -53,7 +73,7 @@ fn resume_matches_uninterrupted_run_across_backends_and_widths() {
         assert_eq!(
             donor.finalize(),
             baseline,
-            "{algorithm}: taking a snapshot perturbed the donor run"
+            "{name}: taking a snapshot perturbed the donor run"
         );
 
         // Resume the snapshot under every queue backend, fanned out over
@@ -65,7 +85,7 @@ fn resume_matches_uninterrupted_run_across_backends_and_widths() {
                 .map(|kind| {
                     let bytes = snapshot.clone();
                     move || {
-                        let mut sim = fresh(algorithm);
+                        let mut sim = build();
                         sim.use_event_queue(kind);
                         sim.restore_snapshot(&bytes).expect("restore");
                         sim.run_until(None);
@@ -80,7 +100,7 @@ fn resume_matches_uninterrupted_run_across_backends_and_widths() {
             for (i, stats) in resume_all(threads).into_iter().enumerate() {
                 assert_eq!(
                     stats, baseline,
-                    "{algorithm}: resumed variant {i} diverged at width {threads}"
+                    "{name}: resumed variant {i} diverged at width {threads}"
                 );
             }
         }
@@ -165,7 +185,7 @@ fn exact_pressured() -> Simulator {
 /// exercise, and the digests of its mid-run snapshot and final stats.
 struct Pinned {
     name: &'static str,
-    build: fn() -> Simulator,
+    build: Build,
     ran: fn(&Simulator, &RunStats) -> bool,
     snapshot_digest: u64,
     snapshot_len: usize,
@@ -179,63 +199,72 @@ fn snapshot_bytes_match_the_pinned_digests() {
     // in what order, how it is encoded) or if the simulated state at the
     // save point does. Either change must re-pin them deliberately, and
     // a layout change must also bump the SNAP schema version. The final
-    // `RunStats` digest pins each configuration's whole-run result.
+    // `RunStats` digest pins each configuration's whole-run result; it
+    // hashes the unsealed payload, so a schema bump cannot move it.
     let golden = [
         Pinned {
             name: "superset-agg",
             build: || fresh(Algorithm::SupersetAgg),
             ran: |_, _| true,
-            snapshot_digest: 0x2d20_9ebe_409e_ce6e,
-            snapshot_len: 168_134,
-            stats_digest: 0x8856_29c1_8b64_8446,
+            snapshot_digest: 0xd8f1_e117_f5e7_c85e,
+            snapshot_len: 152_047,
+            stats_digest: 0x5d54_4dc0_a5e6_caa4,
         },
         Pinned {
             name: "lazy",
             build: || fresh(Algorithm::Lazy),
             ran: |_, _| true,
-            snapshot_digest: 0x057a_5ddb_648b_276d,
-            snapshot_len: 113_206,
-            stats_digest: 0x1a95_e665_e402_d4e3,
+            snapshot_digest: 0x7110_7af7_0fc0_8c61,
+            snapshot_len: 97_012,
+            stats_digest: 0xd89c_45fd_52bc_e5c8,
         },
         Pinned {
             name: "superset-con write filtering",
             build: write_filtered,
             ran: |sim, _| sim.write_snoops_filtered() > 0,
-            snapshot_digest: 0xa45d_5040_e3ed_70da,
-            snapshot_len: 205_277,
-            stats_digest: 0x1d0a_dbd8_b34b_75e9,
+            snapshot_digest: 0x6e68_f711_ebbd_9401,
+            snapshot_len: 189_146,
+            stats_digest: 0x58c8_bee1_6d35_bf41,
         },
         Pinned {
             name: "torus-lossy flat ring",
             build: torus_lossy,
             ran: |_, s| s.robustness.torus_drops > 0,
-            snapshot_digest: 0x0309_b714_085c_fafa,
-            snapshot_len: 167_996,
-            stats_digest: 0xffe0_e6b7_6270_173b,
+            snapshot_digest: 0xfd41_e93a_74c2_0323,
+            snapshot_len: 152_261,
+            stats_digest: 0xfa39_7bbd_7ed7_83fc,
         },
         Pinned {
             name: "lazy cold and warm churn",
             build: churned,
             ran: |_, s| s.robustness.churn_detaches == 2,
-            snapshot_digest: 0xd933_52bb_5a6b_1aa9,
-            snapshot_len: 116_658,
-            stats_digest: 0x6a24_541b_fc1e_2fff,
+            snapshot_digest: 0x0861_f12f_769c_20ae,
+            snapshot_len: 98_892,
+            stats_digest: 0x2788_82e7_c2ed_19e8,
         },
         Pinned {
             name: "subset 4x4 bridge drops",
             build: hier_lossy,
             ran: |_, s| s.escalations > 0,
-            snapshot_digest: 0xd887_d4e9_5b40_175c,
-            snapshot_len: 264_693,
-            stats_digest: 0x85d1_ba5f_d0b5_ef70,
+            snapshot_digest: 0xb0ad_ba19_80ed_9448,
+            snapshot_len: 242_317,
+            stats_digest: 0x25fd_359c_b216_80fc,
         },
         Pinned {
             name: "exact",
             build: exact_pressured,
             ran: |_, s| s.downgrades > 0 && s.downgrade_rereads > 0,
-            snapshot_digest: 0x34ac_c387_f88d_6f9e,
-            snapshot_len: 118_976,
-            stats_digest: 0x13b6_1bcc_f2be_3f0e,
+            snapshot_digest: 0x9002_9b58_89f3_169f,
+            snapshot_len: 102_772,
+            stats_digest: 0xbdb8_2281_59c0_5e78,
+        },
+        Pinned {
+            name: "barnes superset-agg",
+            build: barnes,
+            ran: |_, s| s.local_peer_hits > 0,
+            snapshot_digest: 0x2793_f33e_921e_1a22,
+            snapshot_len: 447_202,
+            stats_digest: 0x0743_aeff_b5a7_5a7b,
         },
     ];
     for row in golden {
@@ -246,7 +275,7 @@ fn snapshot_bytes_match_the_pinned_digests() {
             (row.ran)(&reference, &stats),
             "{name}: the pinned path never ran"
         );
-        let found = snap::fnv1a(&snap::snapshot_bytes(&stats));
+        let found = stats_digest(&stats);
         assert_eq!(
             found, row.stats_digest,
             "{name}: final RunStats changed (digest {found:#018x})"

@@ -11,9 +11,9 @@
 //! * [`RunStats`] are bit-identical across event-queue backends and
 //!   executor widths on hierarchical machines, just as they are on flat
 //!   rings;
-//! * mid-run checkpoints round-trip bit-identically (SNAP v3), and a
-//!   flat snapshot is refused by a hierarchical simulator (and vice
-//!   versa) via the config fingerprint.
+//! * mid-run checkpoints round-trip bit-identically, and a flat
+//!   snapshot is refused by a hierarchical simulator (and vice versa)
+//!   via the config fingerprint.
 
 use flexsnoop::{Algorithm, RunStats, Simulator};
 use flexsnoop_engine::snap::SnapError;

@@ -1,4 +1,4 @@
-//! A bounded work-stealing task executor for simulation sweeps.
+//! A bounded task executor for simulation sweeps.
 //!
 //! The figure/table sweeps run hundreds of independent simulator
 //! configurations. Spawning one OS thread per configuration (the seed's
@@ -6,12 +6,11 @@
 //! sweep outgrows the core count: every simulator is CPU-bound, so excess
 //! threads only add context-switch and cache-thrash overhead.
 //!
-//! [`Executor`] instead runs a **fixed pool** of workers over the task
-//! list. Tasks are pre-distributed round-robin onto per-worker deques; an
-//! idle worker first drains its own deque from the front, then **steals
-//! from the back** of a sibling's deque. Stealing from the opposite end
-//! keeps the common fast path (own front pop) and the steal path from
-//! contending on the same entries.
+//! [`Executor`] instead runs a **fixed pool** of workers over **one shared
+//! queue**: an idle worker takes the next task in task order. Each task is
+//! a whole simulation, so the one lock a task costs is noise, and a worker
+//! that finishes early simply takes the next task; per-worker deques with
+//! stealing were measured no faster on the full report (EXPERIMENTS.md).
 //!
 //! Results are returned **in task order**, so callers are deterministic
 //! regardless of worker count or interleaving — the property the
@@ -29,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Locks a deque mutex, ignoring poisoning. The queues only hold plain
+/// Locks a queue mutex, ignoring poisoning. The queues only hold plain
 /// data (task closures and indices), which stays structurally intact when
 /// a panic unwinds past a lock guard, so a poisoned lock is still safe to
 /// read — and honouring the poison would cascade `PoisonError` panics
@@ -66,8 +65,8 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A bounded pool that runs a batch of independent tasks with work
-/// stealing and returns their results in task order.
+/// A bounded pool that runs a batch of independent tasks from one shared
+/// queue and returns their results in task order.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
     threads: usize,
@@ -76,7 +75,7 @@ pub struct Executor {
 /// What one worker did during a [`Executor::run_with_stats`] batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Tasks this worker completed (own deque and steals).
+    /// Tasks this worker completed.
     pub tasks: u64,
     /// Wall-clock time the worker spent inside task bodies.
     pub busy: Duration,
@@ -141,7 +140,7 @@ impl Executor {
     /// If a task panics, the remaining tasks still run, and the first
     /// panic (by task order) is then re-raised with its original payload.
     /// Sibling workers never see a `PoisonError` cascade from a panicking
-    /// task: the steal path ignores mutex poisoning.
+    /// task: the queue lock ignores mutex poisoning.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -199,14 +198,9 @@ impl Executor {
                 }),
             );
         }
-        // Pre-distribute round-robin so every worker starts busy.
-        let mut locals: Vec<Mutex<VecDeque<(usize, F)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            locals[i % workers].get_mut().unwrap().push_back((i, task));
-        }
+        let queue = Mutex::new(tasks.into_iter().enumerate());
         let worker_stats: Mutex<Vec<(usize, WorkerStats)>> = Mutex::new(Vec::new());
-        let locals = &locals;
+        let queue = &queue;
         let worker_stats = &worker_stats;
         let batch_start = Instant::now();
         type TaskResult<T> = Result<T, Box<dyn std::any::Any + Send>>;
@@ -217,35 +211,25 @@ impl Executor {
                 scope.spawn(move || {
                     let mut mine = WorkerStats::default();
                     loop {
-                        // One lock at a time: binding each probe to its own
-                        // statement drops the guard before the next probe. A
-                        // single `.or_else` chain would keep the own-deque
-                        // guard alive across the steal (temporaries live to
-                        // the end of the statement), and two idle workers
-                        // stealing from each other then deadlock AB-BA.
-                        let mut job = lock_ignore_poison(&locals[w]).pop_front();
-                        if job.is_none() {
-                            job = (1..workers).find_map(|off| {
-                                lock_ignore_poison(&locals[(w + off) % workers]).pop_back()
-                            });
+                        // Its own statement, so the guard drops before the
+                        // task runs: a `match` on the locked queue would
+                        // hold the lock for the whole task.
+                        let job = lock_ignore_poison(queue).next();
+                        let Some((i, task)) = job else {
+                            break;
+                        };
+                        // Capture the panic instead of unwinding through the
+                        // scope: the scope would join every worker and
+                        // surface a cascade of secondary panics that masks
+                        // the original.
+                        let t0 = instrument.then(Instant::now);
+                        let result = catch_unwind(AssertUnwindSafe(task));
+                        if let Some(t0) = t0 {
+                            mine.busy += t0.elapsed();
+                            mine.tasks += 1;
                         }
-                        match job {
-                            Some((i, task)) => {
-                                // Capture the panic instead of unwinding through
-                                // the scope: the scope would join every worker
-                                // and surface a cascade of secondary panics that
-                                // masks the original.
-                                let t0 = instrument.then(Instant::now);
-                                let result = catch_unwind(AssertUnwindSafe(task));
-                                if let Some(t0) = t0 {
-                                    mine.busy += t0.elapsed();
-                                    mine.tasks += 1;
-                                }
-                                if tx.send((i, result)).is_err() {
-                                    break;
-                                }
-                            }
-                            None => break,
+                        if tx.send((i, result)).is_err() {
+                            break;
                         }
                     }
                     if instrument {
@@ -470,7 +454,7 @@ mod tests {
         }))
         .expect_err("the task panic must propagate");
         // The payload is the original one, not a PoisonError cascade from
-        // sibling workers dying on poisoned deque mutexes.
+        // sibling workers dying on a poisoned queue mutex.
         let msg = caught
             .downcast_ref::<&str>()
             .copied()
@@ -564,13 +548,8 @@ mod tests {
 
     #[test]
     fn many_tiny_batches_never_deadlock() {
-        // Regression: the steal path used to probe sibling deques while
-        // still holding the guard on the worker's own (empty) deque — a
-        // single `.or_else` chain keeps that temporary alive for the whole
-        // statement — so two idle workers stealing from each other could
-        // deadlock AB-BA. Tiny batches on a wide pool hit the race in a
-        // few thousand iterations; with one-lock-at-a-time probing this
-        // loop runs dry every time.
+        // Stress: tiny batches on a wide pool, where every worker races for
+        // the queue and most find it empty; each batch must still finish.
         for round in 0..2_000u64 {
             let n = (round % 3 + 2) as usize;
             let tasks: Vec<_> = (0..n as u64).map(|i| move || round + i).collect();

@@ -14,7 +14,7 @@
 //!   used to model contention.
 //! * [`SplitMix64`] — a tiny deterministic RNG for reproducible simulations.
 //! * [`fxhash`] — a fast deterministic hasher for simulator-internal maps.
-//! * [`Executor`] — a bounded work-stealing pool for sweeping many
+//! * [`Executor`] — a bounded pool, one shared task queue, for sweeping many
 //!   independent simulations without oversubscribing the machine.
 //!
 //! # Example

@@ -36,7 +36,10 @@ pub const SNAP_MAGIC: [u8; 4] = *b"FSNP";
 /// v2: partition-blocked fault counter, churn state, recovery timestamps.
 /// v3: hierarchical topologies — message scope/via-global, bridge
 /// crossings and bridge fault stream, locality tables, hier counters.
-pub const SNAP_VERSION: u32 = 3;
+/// v4: derived state is rebuilt on restore, not stored — the residency
+/// indexes, line-busy counts, active-core count, timeout bounds and the
+/// per-transaction blocking flag.
+pub const SNAP_VERSION: u32 = 4;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -64,7 +64,7 @@ pub struct InvalidateOutcome {
 }
 
 /// A line's presence summary within one CMP, kept in sync with the L2
-/// arrays by every mutating method.
+/// arrays by every mutating method and rebuilt from them on restore.
 ///
 /// The Figure 2(b) storage invariants bound what a snoop can find: at most
 /// one copy per CMP is in a locally-supplying state (`SL, SG, E, D, T` —
@@ -346,14 +346,13 @@ impl CmpCaches {
     }
 }
 
-/// Serializes every L1 tag filter, every L2, and the residency index.
-///
-/// The index *could* be rebuilt from the L2 arrays, but it is serialized
-/// verbatim instead: under fault-injection mutations the one-supplier
-/// invariant may be violated, making the index's last-writer-wins `local`
-/// slot order-dependent — a rebuild could answer snoops differently than
-/// the live index did, breaking bit-identical resume. Keys are written in
-/// sorted order so snapshots are deterministic.
+/// Serializes every L1 tag filter and every L2. The residency index is
+/// not stored: restore rebuilds it from the restored L2 arrays, core by
+/// core, through the same update every fill makes. A legal CMP holds at
+/// most one locally-supplying copy of a line (Figure 2(b)), so the rebuilt
+/// index equals the live one. Only an injected protocol mutation can leave
+/// two; the live `local` slot then names the last one written and the
+/// rebuilt slot the highest core's.
 impl Snapshot for CmpCaches {
     fn save_into(&self, w: &mut SnapWriter) {
         w.put_usize(self.l1s.len());
@@ -362,22 +361,6 @@ impl Snapshot for CmpCaches {
         }
         for l2 in &self.l2s {
             l2.save_into(w);
-        }
-        let mut lines: Vec<LineAddr> = self.index.keys().copied().collect();
-        lines.sort_unstable();
-        w.put_usize(lines.len());
-        for line in lines {
-            let entry = &self.index[&line];
-            w.put_u64(line.0);
-            w.put_u8(entry.copies);
-            match entry.local {
-                None => w.put_bool(false),
-                Some((core, state)) => {
-                    w.put_bool(true);
-                    w.put_u8(core);
-                    state.save_into(w);
-                }
-            }
         }
     }
 
@@ -393,22 +376,11 @@ impl Snapshot for CmpCaches {
             l2.restore_from(r)?;
         }
         self.index.clear();
-        let n = r.get_usize()?;
-        for _ in 0..n {
-            let line = LineAddr(r.get_u64()?);
-            let copies = r.get_u8()?;
-            if copies == 0 {
-                return Err(SnapError::Corrupt("residency entry with zero copies"));
+        for core in 0..self.l2s.len() {
+            let lines: Vec<_> = self.l2s[core].iter().collect();
+            for (line, state) in lines {
+                self.index_update(core, line, CoherState::I, state);
             }
-            let local = if r.get_bool()? {
-                let core = r.get_u8()?;
-                let mut state = CoherState::I;
-                state.restore_from(r)?;
-                Some((core, state))
-            } else {
-                None
-            };
-            self.index.insert(line, Residency { copies, local });
         }
         Ok(())
     }
@@ -534,9 +506,9 @@ mod tests {
             fresh.local_lookup(0, LineAddr(7)),
             LocalLookup::Peer { peer: 2, state: Sl }
         );
-        // The residency index survives intact: mutating both copies
-        // identically keeps them in lock-step (debug builds cross-check the
-        // index against a full tag scan on every snoop).
+        // The rebuilt residency index matches the live one: mutating both
+        // copies identically keeps them in lock-step (debug builds
+        // cross-check the index against a full tag scan on every snoop).
         assert_eq!(
             c.invalidate_all(LineAddr(9)),
             fresh.invalidate_all(LineAddr(9))

@@ -30,7 +30,8 @@ use crate::{PredictorCounters, SupplierPredictor};
 /// Every node's Subset predictor in one flat set-associative array.
 ///
 /// A node's table of `S` sets becomes sets `[node * S, (node + 1) * S)` of
-/// the shared array via the key transform
+/// the shared array via the key transform (`node_bits` sized for the node
+/// count rounded up to a power of two)
 ///
 /// ```text
 /// key = (line >> set_bits) << (set_bits + node_bits)
@@ -53,29 +54,25 @@ pub struct SubsetBank {
 
 impl SubsetBank {
     /// Creates a bank of `nodes` Subset predictors of `entries` entries
-    /// each (8-way, as in the paper's Table 4 configurations).
+    /// each (8-way, as in the paper's Table 4 configurations). A node count
+    /// that is not a power of two is rounded up for the key's node field:
+    /// the unused node ranges cost only their set heads, never ways.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` or the per-node set count is not a power of two
-    /// ([`PredictorSpec::build_bank`] falls back to boxed predictors rather
-    /// than hitting this).
+    /// Panics if `entries` does not give an 8-way table with a power-of-two
+    /// set count (see [`CacheGeometry::from_entries`]).
     pub fn new(nodes: usize, entries: usize, entry_bits: usize) -> Self {
-        const WAYS: usize = 8;
-        assert!(nodes.is_power_of_two(), "node count must be a power of two");
-        assert!(
-            entries.is_multiple_of(WAYS) && (entries / WAYS).is_power_of_two(),
-            "per-node entries ({entries}) must give a power-of-two set count"
-        );
-        let node_sets = entries / WAYS;
+        let node = CacheGeometry::from_entries(entries, 8);
+        let node_slots = nodes.next_power_of_two();
         let geometry = CacheGeometry {
-            sets: node_sets * nodes,
-            ways: WAYS,
+            sets: node.sets * node_slots,
+            ways: node.ways,
         };
         Self {
             table: SetAssocCache::new(geometry),
-            node_set_bits: node_sets.trailing_zeros(),
-            node_bits: nodes.trailing_zeros(),
+            node_set_bits: node.sets.trailing_zeros(),
+            node_bits: node_slots.trailing_zeros(),
             entries_per_node: entries,
             entry_bits,
             counters: vec![PredictorCounters::default(); nodes],
@@ -314,20 +311,14 @@ impl PredictorSpec {
     /// Builds predictors for all `nodes` CMPs at once, picking the most
     /// compact layout that preserves per-node semantics exactly.
     ///
-    /// `None` becomes storage-free; `Subset` flattens into a shared table
-    /// when the geometry allows (power-of-two node count and per-node set
-    /// count — true for every paper configuration and every `bench --scale`
-    /// point); everything else falls back to one boxed predictor per node,
-    /// identical to calling [`PredictorSpec::build`] `nodes` times.
+    /// `None` becomes storage-free; `Subset` flattens into one shared table
+    /// at any node count; everything else falls back to one boxed
+    /// predictor per node, identical to calling [`PredictorSpec::build`]
+    /// `nodes` times.
     pub fn build_bank(&self, nodes: usize) -> PredictorBank {
-        const WAYS: usize = 8;
         match *self {
             PredictorSpec::None => PredictorBank::Null { nodes },
-            PredictorSpec::Subset { entries }
-                if nodes.is_power_of_two()
-                    && entries.is_multiple_of(WAYS)
-                    && (entries / WAYS).is_power_of_two() =>
-            {
+            PredictorSpec::Subset { entries } => {
                 PredictorBank::Subset(SubsetBank::new(nodes, entries, Self::entry_bits(entries)))
             }
             _ => PredictorBank::Boxed((0..nodes).map(|_| self.build()).collect()),
@@ -363,10 +354,14 @@ mod tests {
     }
 
     #[test]
-    fn non_power_of_two_nodes_fall_back_to_boxed() {
+    fn non_power_of_two_nodes_flatten_too() {
         let bank = PredictorSpec::SUB2K.build_bank(6);
-        assert!(matches!(bank, PredictorBank::Boxed(_)));
+        assert!(matches!(bank, PredictorBank::Subset(_)));
         assert_eq!(bank.len(), 6);
+        assert_eq!(
+            bank.storage_bits(5),
+            SubsetPredictor::sub2k().storage_bits()
+        );
     }
 
     #[test]
@@ -377,21 +372,27 @@ mod tests {
 
     /// The flat Subset bank must be observationally identical to one
     /// private SubsetPredictor per node under any interleaving of
-    /// operations: same predictions, same counters.
+    /// operations: same predictions, same counters. Run at a power-of-two
+    /// node count and at one the bank pads.
     #[test]
     fn flat_subset_bank_matches_private_tables() {
-        const NODES: usize = 8;
+        for nodes in [8, 6] {
+            flat_subset_bank_matches_private_tables_at(nodes);
+        }
+    }
+
+    fn flat_subset_bank_matches_private_tables_at(nodes: usize) {
         const ENTRIES: usize = 16; // 2 sets x 8 ways per node: tiny, conflict-heavy
         let spec = PredictorSpec::Subset { entries: ENTRIES };
-        let mut bank = spec.build_bank(NODES);
+        let mut bank = spec.build_bank(nodes);
         assert!(matches!(bank, PredictorBank::Subset(_)));
-        let mut private: Vec<SubsetPredictor> = (0..NODES)
+        let mut private: Vec<SubsetPredictor> = (0..nodes)
             .map(|_| SubsetPredictor::new(CacheGeometry::from_entries(ENTRIES, 8), 18))
             .collect();
 
         let mut rng = SplitMix64::new(0xBA4C);
         for _ in 0..20_000 {
-            let node = (rng.next_u64() % NODES as u64) as usize;
+            let node = (rng.next_u64() % nodes as u64) as usize;
             // A small, clashing line pool plus some sparse high addresses.
             let line = match rng.next_u64() % 4 {
                 0..=2 => LineAddr(rng.next_u64() % 48),

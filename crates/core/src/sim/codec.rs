@@ -384,7 +384,7 @@ impl Simulator {
         let copies: Vec<(LineAddr, CoherState)> = self
             .cmps
             .iter()
-            .flat_map(|cmp| (0..cmp.cores()).flat_map(move |core| cmp.l2(core).iter()))
+            .flat_map(|cmp| (0..cmp.cores()).flat_map(move |core| cmp.l2_lines(core)))
             .collect();
         self.residency.clear();
         for (line, state) in copies {
@@ -769,7 +769,7 @@ mod tests {
         let lines: BTreeSet<LineAddr> = donor
             .cmps
             .iter()
-            .flat_map(|cmp| (0..cmp.cores()).flat_map(move |core| cmp.l2(core).iter()))
+            .flat_map(|cmp| (0..cmp.cores()).flat_map(move |core| cmp.l2_lines(core)))
             .map(|(line, _)| line)
             .collect();
         assert!(!lines.is_empty(), "{name}: no resident line to compare");
@@ -814,9 +814,9 @@ mod tests {
                 !sim.txns.is_empty()
                     && sim.cmps.iter().any(|cmp| {
                         (0..cmp.cores()).any(|core| {
-                            cmp.l2(core).iter().any(|(line, _)| {
+                            cmp.l2_lines(core).any(|(line, _)| {
                                 (0..cmp.cores())
-                                    .filter(|&c| cmp.l2(c).state_of(line).is_valid())
+                                    .filter(|&c| cmp.state_of(c, line).is_valid())
                                     .count()
                                     > 1
                             })

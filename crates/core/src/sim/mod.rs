@@ -748,7 +748,7 @@ impl Simulator {
     /// The coherence state of `line` in one core's L2 (for inspection and
     /// testing).
     pub fn line_state(&self, node: CmpId, core: usize, line: LineAddr) -> CoherState {
-        self.cmps[node.0].l2(core).state_of(line)
+        self.cmps[node.0].state_of(core, line)
     }
 
     /// Checks the global storage invariants of Figure 2(b) for every
@@ -1059,7 +1059,7 @@ impl Simulator {
         let mut local_copy = false;
         for (n, cmp) in self.cmps.iter().enumerate() {
             for c in 0..cmp.cores() {
-                let st = cmp.l2(c).state_of(line);
+                let st = cmp.state_of(c, line);
                 if !st.is_valid() {
                     continue;
                 }
@@ -1089,7 +1089,7 @@ impl Simulator {
         if self.cfg.policy.write_filtering {
             self.presence[node.0].insert(line);
         }
-        let old = self.cmps[node.0].l2(local).state_of(line);
+        let old = self.cmps[node.0].state_of(local, line);
         if let Some(victim) = self.cmps[node.0].fill(local, line, state) {
             self.residency_change(victim.line, victim.state, CoherState::I);
             if self.cfg.policy.write_filtering {
@@ -1115,7 +1115,7 @@ impl Simulator {
 
     /// Changes the state of a resident line, keeping the predictor in sync.
     fn transition(&mut self, node: CmpId, local: usize, line: LineAddr, new: CoherState) {
-        let old = self.cmps[node.0].l2(local).state_of(line);
+        let old = self.cmps[node.0].state_of(local, line);
         debug_assert!(old.is_valid(), "transition on invalid line {line}");
         if old == new {
             return;

@@ -670,6 +670,6 @@ impl DirSimulator {
 
     /// The coherence state of one line in one core's L2.
     pub fn line_state(&self, node: CmpId, core: usize, line: LineAddr) -> CoherState {
-        self.cmps[node.0].l2(core).state_of(line)
+        self.cmps[node.0].state_of(core, line)
     }
 }

@@ -7,6 +7,7 @@
 use flexsnoop_engine::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::addr::LineAddr;
+use crate::state::CoherState;
 
 /// Geometry of a set-associative array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +79,14 @@ const NIL: u32 = u32::MAX;
 struct Way<V> {
     line: LineAddr,
     value: Option<V>,
-    last_use: u64,
+    /// The array's clock at this way's last use; see
+    /// [`SetAssocCache::renumber`] for what keeps it in 32 bits.
+    last_use: u32,
 }
+
+// A `u32` stamp keeps the ways of both production arrays, the L2's states
+// and the tag-only L1s and predictor tables, at 16 bytes.
+const _: () = assert!(size_of::<Way<CoherState>>() == 16 && size_of::<Way<()>>() == 16);
 
 impl<V> Way<V> {
     fn vacant() -> Self {
@@ -196,7 +203,9 @@ impl<V> Slab<V> {
 /// its chunk a set keeps the order a per-set `Vec` would have under
 /// `push` and `swap_remove` (a new way goes last; a removed or evicted
 /// way's place takes the set's last way), so victims,
-/// [`iter`](Self::iter) order and snapshot bytes follow that order.
+/// [`iter`](Self::iter) order and snapshot bytes follow that order. A way
+/// keeps its LRU stamp in 32 bits, so it takes 16 bytes for the L2's
+/// coherence states and for the tag-only L1 filters and predictor tables.
 ///
 /// # Example
 ///
@@ -216,7 +225,7 @@ pub struct SetAssocCache<V> {
     /// chunk shifted left one bit, the low bit set for a chunk of `ways`
     /// ways.
     heads: Box<[u32]>,
-    clock: u64,
+    clock: u32,
     occupied: usize,
 }
 
@@ -252,9 +261,39 @@ impl<V> SetAssocCache<V> {
         self.occupied == 0
     }
 
-    fn tick(&mut self) -> u64 {
+    /// Advances the LRU clock and returns the new stamp; a clock about to
+    /// pass `u32::MAX` first renumbers the stamps.
+    #[inline]
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.renumber();
+        }
         self.clock += 1;
         self.clock
+    }
+
+    /// Replaces every stamp by its rank in its set (1 for the least
+    /// recently used way, up to the set's length) and restarts the clock
+    /// at `ways`, so the clock can run on past `u32::MAX`. Ranks keep each
+    /// set's order, ties included, so every later victim is the one the
+    /// old stamps would have picked.
+    #[cold]
+    fn renumber(&mut self) {
+        let mut stamps = Vec::new();
+        for set in 0..self.heads.len() {
+            let slots = self.slots_mut(set);
+            stamps.clear();
+            stamps.extend(
+                slots
+                    .iter()
+                    .take_while(|w| w.value.is_some())
+                    .map(|w| w.last_use),
+            );
+            for (way, stamp) in slots.iter_mut().zip(&stamps) {
+                way.last_use = rank(&stamps, stamp);
+            }
+        }
+        self.clock = self.geometry.ways as u32;
     }
 
     /// `set`'s chunk as its slab (0 for chunks of one way, 1 for chunks
@@ -386,7 +425,7 @@ impl<V> SetAssocCache<V> {
         let slots = self.slots_mut(set);
         // One pass finds `line`, or else the set's length and its least
         // recently used way (the first on a stamp tie).
-        let (mut len, mut lru, mut lru_use) = (0, 0, u64::MAX);
+        let (mut len, mut lru, mut lru_use) = (0, 0, u32::MAX);
         for (at, way) in slots.iter_mut().enumerate() {
             if way.value.is_none() {
                 break;
@@ -456,28 +495,36 @@ impl<V> SetAssocCache<V> {
 
     /// Iterates over all `(line, value)` entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &V)> {
-        (0..self.heads.len()).flat_map(move |set| {
-            self.set_ways(set)
-                .filter_map(|w| Some((w.line, w.value.as_ref()?)))
-        })
+        (0..self.heads.len()).flat_map(move |set| self.iter_set(set))
+    }
+
+    /// Iterates over the `(line, value)` entries of one set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` is not below the geometry's set count.
+    pub(crate) fn iter_set(&self, set: usize) -> impl Iterator<Item = (LineAddr, &V)> {
+        self.set_ways(set)
+            .filter_map(|w| Some((w.line, w.value.as_ref()?)))
     }
 
     /// Serializes the full array state — per-set way order (observable
     /// through `swap_remove`-order eviction), per-way `last_use` stamps,
-    /// and the LRU clock — using `enc` to encode each stored value.
+    /// and the LRU clock — using `enc` to encode each stored value. The
+    /// clock and the stamps are written as `u64`s.
     ///
     /// Geometry is *not* serialized: per the `Snapshot` overlay contract the
     /// restore target is freshly constructed from the same configuration,
     /// and [`restore_from_with`](Self::restore_from_with) verifies the set
     /// count matches.
     pub fn save_into_with(&self, w: &mut SnapWriter, mut enc: impl FnMut(&V, &mut SnapWriter)) {
-        w.put_u64(self.clock);
+        w.put_u64(u64::from(self.clock));
         w.put_usize(self.heads.len());
         for set in 0..self.heads.len() {
             w.put_usize(self.set_ways(set).count());
             for way in self.set_ways(set) {
                 w.put_u64(way.line.0);
-                w.put_u64(way.last_use);
+                w.put_u64(u64::from(way.last_use));
                 enc(way.value.as_ref().expect("a live way holds a value"), w);
             }
         }
@@ -486,52 +533,107 @@ impl<V> SetAssocCache<V> {
     /// Restores state written by [`save_into_with`](Self::save_into_with)
     /// onto a cache built with the same geometry, using `dec` to decode each
     /// stored value. Way order within each set is reproduced exactly, so
-    /// future evictions pick identical victims.
+    /// future evictions pick identical victims. The array keeps its clock
+    /// and stamps in 32 bits and, before the clock would wrap, replaces
+    /// each stamp by its rank in its set; a stream holding a clock or
+    /// stamp of `2^32` or more, which only an older build writes, restores
+    /// renumbered the same way.
     ///
     /// # Errors
     ///
     /// [`SnapError::Corrupt`] when the set count differs from the
     /// geometry's, or a set holds more ways than the geometry allows, a
-    /// line of another set, or one line twice.
+    /// line of another set, or one line twice. A failed restore leaves the
+    /// cache as it was.
     pub fn restore_from_with(
         &mut self,
         r: &mut SnapReader<'_>,
-        mut dec: impl FnMut(&mut SnapReader<'_>) -> Result<V, SnapError>,
+        dec: impl FnMut(&mut SnapReader<'_>) -> Result<V, SnapError>,
     ) -> Result<(), SnapError> {
-        self.clock = r.get_u64()?;
-        let n_sets = r.get_usize()?;
-        if n_sets != self.geometry.sets {
+        let restored = Self::restore_new(self.geometry, r, dec)?;
+        *self = restored.unwrap_or_else(|| Self::new(self.geometry));
+        Ok(())
+    }
+
+    /// Restores state written by [`save_into_with`](Self::save_into_with)
+    /// into a new array of `geometry`, or `None` for the bytes of a fresh
+    /// one (clock 0, every set empty), which then allocates nothing.
+    pub(crate) fn restore_new(
+        geometry: CacheGeometry,
+        r: &mut SnapReader<'_>,
+        mut dec: impl FnMut(&mut SnapReader<'_>) -> Result<V, SnapError>,
+    ) -> Result<Option<Self>, SnapError> {
+        let clock = r.get_u64()?;
+        if r.get_usize()? != geometry.sets {
             return Err(SnapError::Corrupt("set count does not match geometry"));
         }
-        self.slabs = [Slab::new(), Slab::new()];
-        self.heads.fill(NIL);
-        self.occupied = 0;
-        for si in 0..n_sets {
+        let mut cache = (clock != 0).then(|| Self::new(geometry));
+        let wide = |stamp: u64| stamp > u64::from(u32::MAX);
+        let mut too_wide = wide(clock);
+        // One set's stamps as written, to rank them if one is too wide.
+        let mut stamps = Vec::new();
+        for si in 0..geometry.sets {
             let len = r.get_usize()?;
-            if len > self.geometry.ways {
+            if len > geometry.ways {
                 return Err(SnapError::Corrupt(
                     "set holds more ways than geometry allows",
                 ));
             }
+            if len == 0 {
+                continue;
+            }
+            let cache = cache.get_or_insert_with(|| Self::new(geometry));
+            stamps.clear();
             for k in 0..len {
                 let line = LineAddr(r.get_u64()?);
-                if self.geometry.set_of(line) != si {
+                if geometry.set_of(line) != si {
                     return Err(SnapError::Corrupt("line indexed into the wrong set"));
                 }
-                if self.slots(si).iter().any(|w| w.holds(line)) {
+                if cache.slots(si).iter().any(|w| w.holds(line)) {
                     return Err(SnapError::Corrupt("set lists a line twice"));
                 }
-                let last_use = r.get_u64()?;
+                let stamp = r.get_u64()?;
                 let value = Some(dec(r)?);
+                stamps.push(stamp);
                 let way = Way {
                     line,
                     value,
-                    last_use,
+                    last_use: stamp as u32,
                 };
-                self.append(si, k, way);
+                cache.append(si, k, way);
+            }
+            if stamps.iter().any(|&s| wide(s)) {
+                too_wide = true;
+                for (way, stamp) in cache.slots_mut(si).iter_mut().zip(&stamps) {
+                    way.last_use = rank(&stamps, stamp);
+                }
             }
         }
-        Ok(())
+        if let Some(cache) = &mut cache {
+            if too_wide {
+                cache.renumber();
+            } else {
+                cache.clock = clock as u32;
+            }
+        }
+        Ok(cache)
+    }
+}
+
+/// `stamp`'s rank among `stamps`: one more than the number of smaller
+/// stamps, so ranks run from 1 to `stamps.len()` and keep order and ties.
+fn rank<T: PartialOrd>(stamps: &[T], stamp: &T) -> u32 {
+    1 + stamps.iter().filter(|s| *s < stamp).count() as u32
+}
+
+/// Writes the bytes [`SetAssocCache::save_into_with`] writes for a fresh
+/// array of `geometry`, whatever it stores: clock 0, the set count, and
+/// an empty count per set.
+pub(crate) fn save_fresh(geometry: CacheGeometry, w: &mut SnapWriter) {
+    w.put_u64(0);
+    w.put_usize(geometry.sets);
+    for _ in 0..geometry.sets {
+        w.put_usize(0);
     }
 }
 
@@ -955,6 +1057,18 @@ mod tests {
         slab: &mut SetAssocCache<u32>,
         reference: &mut VecSetCache<u32>,
     ) {
+        apply_both(rng, lines, slab, reference);
+        assert_eq!(slab_bytes(slab), vec_bytes(reference));
+    }
+
+    /// [`step_both`] short of comparing bytes: equal returns (victims
+    /// included), `len` and `iter()` order.
+    fn apply_both(
+        rng: &mut flexsnoop_engine::SplitMix64,
+        lines: u64,
+        slab: &mut SetAssocCache<u32>,
+        reference: &mut VecSetCache<u32>,
+    ) {
         let line = LineAddr(rng.next_below(lines));
         let value = rng.next_u64() as u32;
         match rng.next_below(5) {
@@ -973,7 +1087,6 @@ mod tests {
         }
         assert_eq!(slab.len(), reference.len());
         assert!(slab.iter().eq(reference.iter()));
-        assert_eq!(slab_bytes(slab), vec_bytes(reference));
     }
 
     #[test]
@@ -1014,6 +1127,99 @@ mod tests {
                 r.expect_eof().unwrap();
                 for _ in 0..100 {
                     step_both(&mut rng, lines, &mut slab_from_vec, &mut vec_from_slab);
+                }
+            }
+        }
+    }
+
+    /// A reference array of `geometry` after `ops` random operations.
+    fn churned(geometry: CacheGeometry, seed: u64, ops: usize) -> VecSetCache<u32> {
+        let lines = 2 * geometry.entries() as u64;
+        let mut rng = flexsnoop_engine::SplitMix64::new(seed);
+        let mut slab = SetAssocCache::new(geometry);
+        let mut reference = VecSetCache::new(geometry);
+        for _ in 0..ops {
+            step_both(&mut rng, lines, &mut slab, &mut reference);
+        }
+        reference
+    }
+
+    /// The bytes `reference` would write had its clock, and every stamp
+    /// with it, been moved on to `clock`: those of an array that took
+    /// that many more LRU updates before reaching the same state.
+    fn shifted_bytes(reference: &VecSetCache<u32>, clock: u64) -> Vec<u8> {
+        let mut shifted = reference.clone();
+        let by = clock - reference.clock;
+        shifted.clock = clock;
+        for way in shifted.sets.iter_mut().flatten() {
+            way.last_use += by;
+        }
+        vec_bytes(&shifted)
+    }
+
+    /// Restores `bytes` into a fresh array and a fresh reference.
+    fn restore_pair(
+        geometry: CacheGeometry,
+        bytes: &[u8],
+    ) -> (SetAssocCache<u32>, VecSetCache<u32>) {
+        let mut slab = SetAssocCache::new(geometry);
+        let mut r = SnapReader::new(bytes);
+        slab.restore_from_with(&mut r, |r| r.get_u32()).unwrap();
+        r.expect_eof().unwrap();
+        let mut reference = VecSetCache::new(geometry);
+        let mut r = SnapReader::new(bytes);
+        reference
+            .restore_from_with(&mut r, |r| r.get_u32())
+            .unwrap();
+        (slab, reference)
+    }
+
+    const WRAP_GEOMETRIES: [(usize, usize); 5] = [(4, 1), (4, 2), (4, 8), (64, 2), (64, 8)];
+
+    #[test]
+    fn stamps_renumber_when_the_clock_wraps() {
+        for (sets, ways) in WRAP_GEOMETRIES {
+            for seed in 0..4u64 {
+                let geometry = CacheGeometry { sets, ways };
+                let lines = 2 * geometry.entries() as u64;
+                let warm = churned(geometry, seed * 7 + ways as u64, 1_000);
+                // Eight LRU updates before the 32-bit clock would wrap;
+                // the reference's `u64` clock runs on past it.
+                let bytes = shifted_bytes(&warm, (1 << 32) - 8);
+                let (mut slab, mut reference) = restore_pair(geometry, &bytes);
+                let mut rng = flexsnoop_engine::SplitMix64::new(seed);
+                for _ in 0..2_000 {
+                    apply_both(&mut rng, lines, &mut slab, &mut reference);
+                    if reference.clock <= u64::from(u32::MAX) {
+                        assert_eq!(slab_bytes(&slab), vec_bytes(&reference));
+                    }
+                }
+                assert!(reference.clock > u64::from(u32::MAX), "the clock wrapped");
+                assert!(
+                    u64::from(slab.clock) < 2_000 + ways as u64,
+                    "the clock restarted at `ways`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stamps_of_2_pow_32_or_more_restore_renumbered() {
+        for (sets, ways) in WRAP_GEOMETRIES {
+            for seed in 0..4u64 {
+                let geometry = CacheGeometry { sets, ways };
+                let lines = 2 * geometry.entries() as u64;
+                let warm = churned(geometry, seed * 7 + ways as u64, 1_000);
+                // Every stamp past 2^32, then only the newest ones: sets
+                // whose stamps all fit are renumbered too.
+                for clock in [1 << 40, (1 << 32) + 300] {
+                    let bytes = shifted_bytes(&warm, clock);
+                    let (mut slab, mut reference) = restore_pair(geometry, &bytes);
+                    assert_eq!(slab.clock as usize, ways, "the clock restarts at `ways`");
+                    let mut rng = flexsnoop_engine::SplitMix64::new(seed);
+                    for _ in 0..1_000 {
+                        apply_both(&mut rng, lines, &mut slab, &mut reference);
+                    }
                 }
             }
         }

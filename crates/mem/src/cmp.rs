@@ -14,7 +14,7 @@ use flexsnoop_engine::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use flexsnoop_engine::FxHashMap;
 
 use crate::addr::LineAddr;
-use crate::cache::{CacheGeometry, SetAssocCache};
+use crate::cache::{save_fresh, CacheGeometry, SetAssocCache};
 use crate::l2::{Eviction, L2Cache};
 use crate::state::CoherState;
 
@@ -88,15 +88,29 @@ struct Residency {
 /// hottest functions. The index is a pure lookup accelerator — it never
 /// changes any answer (debug builds cross-check it against a full scan on
 /// every snoop).
+///
+/// The per-core arrays are allocated at the CMP's first
+/// [`local_lookup`](Self::local_lookup), [`fill`](Self::fill) or
+/// [`set_state`](Self::set_state). Until then the CMP is *idle*: it holds
+/// no line, every other method answers from the empty index, and a
+/// snapshot writes the bytes of fresh arrays. On a million-node ring,
+/// where only the requesters' CMPs are ever accessed and every other CMP
+/// is only snooped, an idle CMP costs its struct alone.
 #[derive(Debug, Clone)]
 pub struct CmpCaches {
-    l1s: Vec<SetAssocCache<()>>,
-    l2s: Vec<L2Cache>,
+    /// One L1 tag filter and one L2 per core; both empty while the CMP
+    /// is idle.
+    l1s: Box<[SetAssocCache<()>]>,
+    l2s: Box<[L2Cache]>,
+    cores: usize,
+    l1_geometry: CacheGeometry,
+    l2_geometry: CacheGeometry,
     index: FxHashMap<LineAddr, Residency>,
 }
 
 impl CmpCaches {
-    /// Creates a CMP with `cores` cores and the given cache geometries.
+    /// Creates an idle CMP with `cores` cores and the given cache
+    /// geometries; its arrays are allocated at its first access.
     ///
     /// # Panics
     ///
@@ -104,10 +118,11 @@ impl CmpCaches {
     pub fn new(cores: usize, l1_geometry: CacheGeometry, l2_geometry: CacheGeometry) -> Self {
         assert!(cores > 0, "a CMP needs at least one core");
         Self {
-            l1s: (0..cores)
-                .map(|_| SetAssocCache::new(l1_geometry))
-                .collect(),
-            l2s: (0..cores).map(|_| L2Cache::new(l2_geometry)).collect(),
+            l1s: Box::default(),
+            l2s: Box::default(),
+            cores,
+            l1_geometry,
+            l2_geometry,
             // The index holds at most one entry per resident line, bounded
             // by the CMP's total L2 capacity. It starts empty and grows on
             // demand: at million-node scale most CMPs never cache a line,
@@ -115,6 +130,33 @@ impl CmpCaches {
             // themselves.
             index: FxHashMap::default(),
         }
+    }
+
+    /// Whether the CMP is idle: not yet accessed, so it holds no arrays
+    /// and no line.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.l2s.is_empty()
+    }
+
+    /// Allocates the per-core arrays if the CMP is idle. Every method that
+    /// can tick an LRU clock calls this first: a `local_lookup` that
+    /// misses still ticks its L2's clock, so allocating only at the first
+    /// fill would shift every later stamp.
+    #[inline]
+    fn activate(&mut self) {
+        if self.is_idle() {
+            self.allocate();
+        }
+    }
+
+    #[cold]
+    fn allocate(&mut self) {
+        self.l1s = (0..self.cores)
+            .map(|_| SetAssocCache::new(self.l1_geometry))
+            .collect();
+        self.l2s = (0..self.cores)
+            .map(|_| L2Cache::new(self.l2_geometry))
+            .collect();
     }
 
     /// Records that `core`'s copy of `line` (which was in `state`) left
@@ -159,12 +201,40 @@ impl CmpCaches {
 
     /// Number of cores in this CMP.
     pub fn cores(&self) -> usize {
-        self.l2s.len()
+        self.cores
     }
 
-    /// Read-only view of a core's L2.
-    pub fn l2(&self, core: usize) -> &L2Cache {
-        &self.l2s[core]
+    /// The geometry of every L2 in this CMP.
+    pub(crate) fn l2_geometry(&self) -> CacheGeometry {
+        self.l2_geometry
+    }
+
+    /// The state of `line` in `core`'s L2 (`I` if not cached), without
+    /// touching LRU state: what a snoop probe of that L2 would see.
+    pub fn state_of(&self, core: usize, line: LineAddr) -> CoherState {
+        debug_assert!(core < self.cores, "core {core} out of range");
+        self.l2s
+            .get(core)
+            .map_or(CoherState::I, |l2| l2.state_of(line))
+    }
+
+    /// Iterates over the `(line, state)` pairs resident in `core`'s L2,
+    /// in unspecified order.
+    pub fn l2_lines(&self, core: usize) -> impl Iterator<Item = (LineAddr, CoherState)> + '_ {
+        debug_assert!(core < self.cores, "core {core} out of range");
+        self.l2s.get(core).into_iter().flat_map(L2Cache::iter)
+    }
+
+    /// Iterates over every copy held in L2 set `set` of this CMP, as
+    /// `(core, line, state)`, core by core.
+    pub(crate) fn l2_set(
+        &self,
+        set: usize,
+    ) -> impl Iterator<Item = (usize, LineAddr, CoherState)> + '_ {
+        self.l2s.iter().enumerate().flat_map(move |(core, l2)| {
+            l2.iter_set(set)
+                .map(move |(line, state)| (core, line, state))
+        })
     }
 
     /// A core's access as seen by its own CMP: own L1, own L2, then peer
@@ -173,6 +243,7 @@ impl CmpCaches {
     /// The L1 tag filter is refreshed on L1 hits and filled on L2 hits
     /// (inclusive hierarchy: the L1 never holds a line its L2 does not).
     pub fn local_lookup(&mut self, core: usize, line: LineAddr) -> LocalLookup {
+        self.activate();
         let own_state = self.l2s[core].access(line);
         if own_state.is_valid() {
             if self.l1s[core].get(line).is_some() {
@@ -285,6 +356,7 @@ impl CmpCaches {
     /// victim if one was evicted. The victim's L1 tag is dropped to keep
     /// the hierarchy inclusive.
     pub fn fill(&mut self, core: usize, line: LineAddr, state: CoherState) -> Option<Eviction> {
+        self.activate();
         let old = self.l2s[core].state_of(line);
         let victim = self.l2s[core].fill(line, state);
         if let Some(ev) = victim {
@@ -302,6 +374,7 @@ impl CmpCaches {
     ///
     /// Panics if the line is not resident there (see [`L2Cache::set_state`]).
     pub fn set_state(&mut self, core: usize, line: LineAddr, state: CoherState) {
+        self.activate();
         let old = self.l2s[core].state_of(line);
         self.l2s[core].set_state(line, state);
         self.index_update(core, line, old, state);
@@ -318,7 +391,8 @@ impl CmpCaches {
     }
 
     /// Estimated heap footprint of this CMP's cache structures in bytes:
-    /// L1 tag filters, L2 arrays, and the residency index.
+    /// L1 tag filters, L2 arrays, and the residency index. An idle CMP
+    /// costs its struct alone.
     pub fn footprint_bytes(&self) -> u64 {
         let l1s: u64 = self.l1s.iter().map(SetAssocCache::footprint_bytes).sum();
         let l2s: u64 = self.l2s.iter().map(L2Cache::footprint_bytes).sum();
@@ -346,16 +420,26 @@ impl CmpCaches {
     }
 }
 
-/// Serializes every L1 tag filter and every L2. The residency index is
-/// not stored: restore rebuilds it from the restored L2 arrays, core by
-/// core, through the same update every fill makes. A legal CMP holds at
-/// most one locally-supplying copy of a line (Figure 2(b)), so the rebuilt
-/// index equals the live one. Only an injected protocol mutation can leave
-/// two; the live `local` slot then names the last one written and the
-/// rebuilt slot the highest core's.
+/// Serializes every L1 tag filter and every L2; an idle CMP writes the
+/// bytes of fresh arrays, and restoring bytes in which every array is
+/// fresh leaves the CMP idle. The residency index is not stored: restore
+/// rebuilds it from the restored L2 arrays, core by core, through the same
+/// update every fill makes. A legal CMP holds at most one
+/// locally-supplying copy of a line (Figure 2(b)), so the rebuilt index
+/// equals the live one. Only an injected protocol mutation can leave two;
+/// the live `local` slot then names the last one written and the rebuilt
+/// slot the highest core's.
 impl Snapshot for CmpCaches {
     fn save_into(&self, w: &mut SnapWriter) {
-        w.put_usize(self.l1s.len());
+        w.put_usize(self.cores);
+        if self.is_idle() {
+            for geometry in [self.l1_geometry, self.l2_geometry] {
+                for _ in 0..self.cores {
+                    save_fresh(geometry, w);
+                }
+            }
+            return;
+        }
         for l1 in &self.l1s {
             l1.save_into_with(w, |_, _| {});
         }
@@ -366,16 +450,24 @@ impl Snapshot for CmpCaches {
 
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let cores = r.get_usize()?;
-        if cores != self.l1s.len() {
+        if cores != self.cores {
             return Err(SnapError::Corrupt("CMP core count does not match config"));
         }
-        for l1 in &mut self.l1s {
-            l1.restore_from_with(r, |_| Ok(()))?;
+        // Fresh arrays restore as nothing; the first array that holds
+        // state allocates them all, as the CMP's first access would.
+        (self.l1s, self.l2s, self.index) = Default::default();
+        for core in 0..cores {
+            if let Some(l1) = SetAssocCache::restore_new(self.l1_geometry, r, |_| Ok(()))? {
+                self.activate();
+                self.l1s[core] = l1;
+            }
         }
-        for l2 in &mut self.l2s {
-            l2.restore_from(r)?;
+        for core in 0..cores {
+            if let Some(l2) = L2Cache::restore_new(self.l2_geometry, r)? {
+                self.activate();
+                self.l2s[core] = l2;
+            }
         }
-        self.index.clear();
         for core in 0..self.l2s.len() {
             let lines: Vec<_> = self.l2s[core].iter().collect();
             for (line, state) in lines {
@@ -543,5 +635,108 @@ mod tests {
         c.fill(0, LineAddr(3), Sg);
         c.fill(1, LineAddr(3), S);
         assert!(c.validate_line(LineAddr(3)).is_ok());
+    }
+
+    /// Bytes of a CMP of [`cmp`]'s shape, built from the arrays it would
+    /// hold if allocated at construction; `l2_clock` gives each L2's LRU
+    /// clock as a count of missing accesses.
+    fn eager_bytes(l2_clock: [usize; 4]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_usize(4);
+        for _ in 0..4 {
+            SetAssocCache::<()>::new(CacheGeometry::from_entries(4, 2))
+                .save_into_with(&mut w, |_, _| {});
+        }
+        for misses in l2_clock {
+            let mut l2 = L2Cache::new(CacheGeometry::from_entries(16, 4));
+            for _ in 0..misses {
+                l2.access(LineAddr(1));
+            }
+            l2.save_into(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    fn bytes_of(c: &CmpCaches) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(bytes: &[u8]) -> CmpCaches {
+        let mut c = cmp();
+        c.fill(0, LineAddr(100), E);
+        let mut r = SnapReader::new(bytes);
+        c.restore_from(&mut r).unwrap();
+        r.expect_eof().unwrap();
+        c
+    }
+
+    #[test]
+    fn read_only_calls_leave_an_idle_cmp_unallocated() {
+        let mut c = cmp();
+        for line in (0..32).map(LineAddr) {
+            assert_eq!(
+                c.snoop(line),
+                SnoopResult {
+                    supplier: None,
+                    any_copy: false
+                }
+            );
+            assert_eq!(c.supplier_of(line), None);
+            assert!(!c.has_copy(line));
+            assert_eq!(c.invalidate_all(line).copies, 0);
+            assert!(c.validate_line(line).is_ok());
+            for core in 0..4 {
+                assert_eq!(c.state_of(core, line), I);
+                assert_eq!(c.l2_lines(core).count(), 0);
+            }
+        }
+        assert!(c.resident_lines().is_empty());
+        assert_eq!(c.l2_set(0).count(), 0);
+        assert!(c.is_idle());
+        assert_eq!(c.footprint_bytes(), size_of::<CmpCaches>() as u64);
+        c.local_lookup(2, LineAddr(1));
+        assert!(!c.is_idle());
+        assert!(c.footprint_bytes() > size_of::<CmpCaches>() as u64);
+    }
+
+    #[test]
+    fn an_idle_cmp_saves_the_bytes_of_fresh_arrays() {
+        assert_eq!(bytes_of(&cmp()), eager_bytes([0; 4]));
+    }
+
+    #[test]
+    fn fresh_arrays_restore_idle_and_a_ticked_clock_allocates() {
+        let idle = restored(&eager_bytes([0; 4]));
+        assert!(idle.is_idle());
+        assert_eq!(idle.footprint_bytes(), size_of::<CmpCaches>() as u64);
+        // One L2 has taken a miss: no line, but a clock of 1.
+        let bytes = eager_bytes([0, 0, 1, 0]);
+        let ticked = restored(&bytes);
+        assert!(!ticked.is_idle());
+        assert_eq!(bytes_of(&ticked), bytes);
+    }
+
+    #[test]
+    fn allocating_at_the_first_lookup_keeps_the_eager_stamps() {
+        let mut lazy = cmp();
+        let mut eager = cmp();
+        eager.activate();
+        for c in [&mut lazy, &mut eager] {
+            assert_eq!(c.local_lookup(1, LineAddr(5)), LocalLookup::Miss);
+            c.fill(1, LineAddr(5), E);
+        }
+        assert_eq!(bytes_of(&lazy), bytes_of(&eager));
+        // The lookup ticked the L2's clock before the fill.
+        let mut l2 = L2Cache::new(CacheGeometry::from_entries(16, 4));
+        l2.access(LineAddr(5));
+        l2.fill(LineAddr(5), E);
+        let mut w = SnapWriter::new();
+        l2.save_into(&mut w);
+        let one_l2 = w.into_bytes();
+        assert!(bytes_of(&lazy)
+            .windows(one_l2.len())
+            .any(|bytes| bytes == one_l2));
     }
 }

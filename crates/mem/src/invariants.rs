@@ -6,13 +6,16 @@
 //! machine and names the violated invariant specifically (at most one
 //! supplier, at most one dirty copy, pairwise compatibility), so a
 //! per-retirement oracle can print an actionable message rather than a
-//! generic "states incompatible". [`check_all`] sweeps every resident
-//! line — the final-state scan both simulators expose as
-//! `validate_coherence`.
+//! generic "states incompatible". [`check_all`] applies the same checks
+//! to every resident line, one L2 set at a time — the final-state scan
+//! both simulators expose as `validate_coherence`.
 
 use crate::cmp::CmpCaches;
 use crate::state::CoherState;
 use crate::LineAddr;
+
+/// One valid copy of a line: `(line, cmp index, core index, state)`.
+type Resident = (LineAddr, usize, usize, CoherState);
 
 /// Checks the Figure 2(b) storage invariants for one line across every
 /// CMP of the machine.
@@ -26,36 +29,43 @@ use crate::LineAddr;
 /// * any pair of copies incompatible under the Figure 2(b) matrix
 ///   (which also covers "at most one local master per CMP").
 pub fn check_line(cmps: &[CmpCaches], line: LineAddr) -> Result<(), String> {
-    // (cmp index, core index, state) for every valid copy. Machines have
-    // at most cores-per-CMP × nodes copies; a small stack buffer would be
-    // overkill — this path only runs when checks are enabled.
-    let mut copies: Vec<(usize, usize, CoherState)> = Vec::new();
+    // The per-retirement oracle checks one line at a time, so it probes
+    // every L2 for it; the whole-machine sweep, `check_all`, gathers
+    // copies set by set instead.
+    let mut copies: Vec<Resident> = Vec::new();
     for (n, cmp) in cmps.iter().enumerate() {
         for core in 0..cmp.cores() {
-            let st = cmp.l2(core).state_of(line);
+            let st = cmp.state_of(core, line);
             if st.is_valid() {
-                copies.push((n, core, st));
+                copies.push((line, n, core, st));
             }
         }
     }
-    let suppliers: Vec<_> = copies.iter().filter(|(_, _, s)| s.is_supplier()).collect();
-    if suppliers.len() > 1 {
+    check_copies(&copies)
+}
+
+/// The checks of [`check_line`] on every valid copy of one line, listed
+/// in `(cmp, core)` order.
+fn check_copies(copies: &[Resident]) -> Result<(), String> {
+    let Some(&(line, ..)) = copies.first() else {
+        return Ok(());
+    };
+    let suppliers = copies.iter().filter(|c| c.3.is_supplier()).count();
+    if suppliers > 1 {
         return Err(format!(
-            "{line}: {} supplier-state copies: {}",
-            suppliers.len(),
-            render_copies(&copies, |s| s.is_supplier())
+            "{line}: {suppliers} supplier-state copies: {}",
+            render_copies(copies, |s| s.is_supplier())
         ));
     }
-    let dirty: Vec<_> = copies.iter().filter(|(_, _, s)| s.is_dirty()).collect();
-    if dirty.len() > 1 {
+    let dirty = copies.iter().filter(|c| c.3.is_dirty()).count();
+    if dirty > 1 {
         return Err(format!(
-            "{line}: {} dirty copies: {}",
-            dirty.len(),
-            render_copies(&copies, |s| s.is_dirty())
+            "{line}: {dirty} dirty copies: {}",
+            render_copies(copies, |s| s.is_dirty())
         ));
     }
-    for (i, &(na, ca, a)) in copies.iter().enumerate() {
-        for &(nb, cb, b) in &copies[i + 1..] {
+    for (i, &(_, na, ca, a)) in copies.iter().enumerate() {
+        for &(_, nb, cb, b) in &copies[i + 1..] {
             if !a.compatible_with(b, na == nb) {
                 return Err(format!(
                     "{line}: {a} at cmp{na}/core{ca} incompatible with {b} at cmp{nb}/core{cb}"
@@ -66,35 +76,65 @@ pub fn check_line(cmps: &[CmpCaches], line: LineAddr) -> Result<(), String> {
     Ok(())
 }
 
-fn render_copies(
-    copies: &[(usize, usize, CoherState)],
-    pick: impl Fn(CoherState) -> bool,
-) -> String {
+fn render_copies(copies: &[Resident], pick: impl Fn(CoherState) -> bool) -> String {
     copies
         .iter()
-        .filter(|(_, _, s)| pick(*s))
-        .map(|(n, c, s)| format!("{s}@cmp{n}/core{c}"))
+        .filter(|(_, _, _, s)| pick(*s))
+        .map(|(_, n, c, s)| format!("{s}@cmp{n}/core{c}"))
         .collect::<Vec<_>>()
         .join(", ")
 }
 
-/// Sweeps every resident line of the machine through [`check_line`].
+/// Checks every resident line of the machine as [`check_line`] would,
+/// one L2 set at a time: the set's copies in every CMP and core are
+/// gathered and sorted by `(line, cmp, core)`, and each line's run of
+/// copies is checked. Each copy is visited once, rather than every L2
+/// being probed for every resident line.
 ///
 /// # Errors
 ///
-/// Returns the first violation found (lines visited in address order so
-/// the report is deterministic).
+/// Returns the violation of the lowest-addressed violating line, so the
+/// report is deterministic.
+///
+/// # Panics
+///
+/// Panics if the CMPs' L2s do not all have one geometry.
 pub fn check_all(cmps: &[CmpCaches]) -> Result<(), String> {
-    let mut lines: Vec<LineAddr> = cmps
+    let Some(first) = cmps.first() else {
+        return Ok(());
+    };
+    let geometry = first.l2_geometry();
+    assert!(
+        cmps.iter().all(|cmp| cmp.l2_geometry() == geometry),
+        "every CMP's L2s must have one geometry"
+    );
+    // On a million-node ring most CMPs are never accessed and hold no
+    // arrays to sweep.
+    let active: Vec<(usize, &CmpCaches)> = cmps
         .iter()
-        .flat_map(|cmp| (0..cmp.cores()).flat_map(|c| cmp.l2(c).iter().map(|(l, _)| l)))
+        .enumerate()
+        .filter(|(_, cmp)| !cmp.is_idle())
         .collect();
-    lines.sort_unstable();
-    lines.dedup();
-    for line in lines {
-        check_line(cmps, line)?;
+    let mut copies: Vec<Resident> = Vec::new();
+    let mut lowest: Option<(LineAddr, String)> = None;
+    for set in 0..geometry.sets {
+        copies.clear();
+        for &(n, cmp) in &active {
+            copies.extend(cmp.l2_set(set).map(|(core, line, st)| (line, n, core, st)));
+        }
+        copies.sort_unstable_by_key(|&(line, n, core, _)| (line, n, core));
+        for run in copies.chunk_by(|a, b| a.0 == b.0) {
+            let line = run[0].0;
+            if lowest.as_ref().is_some_and(|(low, _)| line > *low) {
+                break;
+            }
+            if let Err(what) = check_copies(run) {
+                lowest = Some((line, what));
+                break;
+            }
+        }
     }
-    Ok(())
+    lowest.map_or(Ok(()), |(_, what)| Err(what))
 }
 
 /// A canonical snapshot of every resident line: `(line, cmp, core, state)`
@@ -106,7 +146,7 @@ pub fn state_snapshot(cmps: &[CmpCaches]) -> Vec<(LineAddr, usize, usize, CoherS
         .enumerate()
         .flat_map(|(n, cmp)| {
             (0..cmp.cores())
-                .flat_map(move |c| cmp.l2(c).iter().map(move |(line, st)| (line, n, c, st)))
+                .flat_map(move |c| cmp.l2_lines(c).map(move |(line, st)| (line, n, c, st)))
         })
         .collect();
     snap.sort_unstable_by_key(|&(line, n, c, st)| (line, n, c, st as u8));
@@ -117,6 +157,7 @@ pub fn state_snapshot(cmps: &[CmpCaches]) -> Vec<(LineAddr, usize, usize, CoherS
 mod tests {
     use super::*;
     use crate::cache::CacheGeometry;
+    use flexsnoop_engine::SplitMix64;
     use CoherState::*;
 
     fn machine() -> Vec<CmpCaches> {
@@ -195,5 +236,106 @@ mod tests {
         b[1].fill(0, LineAddr(9), Sl);
         assert_eq!(state_snapshot(&a), state_snapshot(&b));
         assert_eq!(state_snapshot(&a).len(), 2);
+    }
+
+    /// `check_all` as it was before the per-set sweep, kept as the
+    /// reference: every resident line, in address order, through
+    /// `check_line`.
+    fn check_all_by_line(cmps: &[CmpCaches]) -> Result<(), String> {
+        let mut lines: Vec<LineAddr> = cmps
+            .iter()
+            .flat_map(|cmp| (0..cmp.cores()).flat_map(|c| cmp.l2_lines(c).map(|(l, _)| l)))
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
+        for line in lines {
+            check_line(cmps, line)?;
+        }
+        Ok(())
+    }
+
+    /// Four CMPs of two cores; each L2 has 8 sets of 8 ways.
+    fn wide_machine() -> Vec<CmpCaches> {
+        (0..4)
+            .map(|_| {
+                CmpCaches::new(
+                    2,
+                    CacheGeometry::from_entries(4, 2),
+                    CacheGeometry::from_entries(64, 8),
+                )
+            })
+            .collect()
+    }
+
+    /// Fills `line` in a legal Figure 2(b) configuration: absent, one
+    /// `E` or `D` copy, or shared (at most one `SG` or `T` copy, at most
+    /// one `SL` per CMP and none beside the supplier, any number of `S`).
+    fn fill_legal(rng: &mut SplitMix64, m: &mut [CmpCaches], line: LineAddr) {
+        let mut slots: Vec<(usize, usize)> = (0..4).flat_map(|n| [(n, 0), (n, 1)]).collect();
+        for i in (1..slots.len()).rev() {
+            slots.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        match rng.next_below(3) {
+            0 => {}
+            1 => {
+                let (n, c) = slots[0];
+                m[n].fill(c, line, if rng.chance(0.5) { E } else { D });
+            }
+            _ => {
+                let mut local_master = [false; 4];
+                if rng.chance(0.5) {
+                    let (n, c) = slots[0];
+                    m[n].fill(c, line, if rng.chance(0.5) { Sg } else { T });
+                    local_master[n] = true;
+                }
+                for &(n, c) in &slots[1..] {
+                    match rng.next_below(3) {
+                        0 => {}
+                        1 => {
+                            m[n].fill(c, line, S);
+                        }
+                        _ if !local_master[n] => {
+                            m[n].fill(c, line, Sl);
+                            local_master[n] = true;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_sweep_matches_the_line_by_line_reference() {
+        let mut failures = 0;
+        for seed in 0..300u64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut m = wide_machine();
+            for line in 0..48 {
+                fill_legal(&mut rng, &mut m, LineAddr(line));
+            }
+            assert_eq!(check_all(&m), Ok(()), "seed {seed}");
+            assert_eq!(check_all_by_line(&m), Ok(()), "seed {seed}");
+            // Up to four violations on untouched lines, so over several
+            // sets, each pair of copies in two CMPs: two suppliers, two
+            // dirty copies, or an incompatible pair.
+            let mut lines: Vec<u64> = (48..112).collect();
+            for _ in 0..rng.next_below(5) {
+                let line = LineAddr(lines.swap_remove(rng.next_below(lines.len() as u64) as usize));
+                let [a, b] = match rng.next_below(3) {
+                    0 => [Sg, E],
+                    1 => [D, T],
+                    _ => [E, S],
+                };
+                let n = rng.next_below(4) as usize;
+                let other = (n + 1 + rng.next_below(3) as usize) % 4;
+                m[n].fill(rng.next_below(2) as usize, line, a);
+                m[other].fill(rng.next_below(2) as usize, line, b);
+            }
+            let swept = check_all(&m);
+            assert_eq!(swept, check_all_by_line(&m), "seed {seed}");
+            failures += usize::from(swept.is_err());
+        }
+        assert!(failures > 200, "{failures} machines with a violation");
     }
 }

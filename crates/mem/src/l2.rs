@@ -117,6 +117,31 @@ impl L2Cache {
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, CoherState)> + '_ {
         self.array.iter().map(|(l, &s)| (l, s))
     }
+
+    /// Iterates over the resident `(line, state)` pairs of one set.
+    pub(crate) fn iter_set(&self, set: usize) -> impl Iterator<Item = (LineAddr, CoherState)> + '_ {
+        self.array.iter_set(set).map(|(l, &s)| (l, s))
+    }
+
+    /// Restores an L2 written by [`Snapshot::save_into`] into a new cache
+    /// of `geometry`, or `None` for the bytes of a fresh one.
+    pub(crate) fn restore_new(
+        geometry: CacheGeometry,
+        r: &mut SnapReader<'_>,
+    ) -> Result<Option<Self>, SnapError> {
+        let array = SetAssocCache::restore_new(geometry, r, decode_state)?;
+        Ok(array.map(|array| Self { array }))
+    }
+}
+
+/// Decodes one stored line's state; a resident line is never `I`.
+fn decode_state(r: &mut SnapReader<'_>) -> Result<CoherState, SnapError> {
+    let mut s = CoherState::I;
+    s.restore_from(r)?;
+    if !s.is_valid() {
+        return Err(SnapError::Corrupt("L2 snapshot holds a line in state I"));
+    }
+    Ok(s)
 }
 
 /// Serializes the underlying array (way order, LRU stamps, per-line
@@ -128,14 +153,7 @@ impl Snapshot for L2Cache {
     }
 
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.array.restore_from_with(r, |r| {
-            let mut s = CoherState::I;
-            s.restore_from(r)?;
-            if !s.is_valid() {
-                return Err(SnapError::Corrupt("L2 snapshot holds a line in state I"));
-            }
-            Ok(s)
-        })
+        self.array.restore_from_with(r, decode_state)
     }
 }
 

@@ -21,9 +21,10 @@ use crate::names::{parse_algorithm, parse_predictor, parse_workload};
 /// changes so stale persistent cache entries are rejected, not misread.
 /// Also bumped when a stored value's meaning changes: version 3's probe
 /// footprints count the event queue, version 4's count its smaller
-/// fixed arrays (one wheel, no second level), and version 5's count
-/// set-associative arrays as one way slab and a `u32` head per set.
-const JOB_OUTPUT_VERSION: u32 = 5;
+/// fixed arrays (one wheel, no second level), version 5's count
+/// set-associative arrays as one way slab and a `u32` head per set, and
+/// version 6's count 16-byte ways and no arrays for a CMP never accessed.
+const JOB_OUTPUT_VERSION: u32 = 6;
 
 /// One simulation run, described by names rather than types.
 ///

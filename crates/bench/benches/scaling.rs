@@ -1,9 +1,10 @@
 //! Microbenchmarks for the million-node scaling substrate: event-queue
 //! push/pop throughput per `QueueKind` (unbounded, under same-cycle
 //! bursts, and through the bounded run loop's `pop_before`),
-//! set-associative array probes and fills (a sparse and a full paper L2,
-//! and a scale-machine L2 that evicts on every fill), and struct-of-arrays
-//! node-state access (the flat predictor bank and a full tiny-cache scale
+//! set-associative array probes, hits and fills (a sparse and a full
+//! paper L2, a full paper L1 taking hits, and a scale-machine L2 that
+//! evicts on every fill), and struct-of-arrays node-state access (the
+//! flat predictor bank, built and swept, and a full tiny-cache scale
 //! machine).
 //!
 //! Macro numbers (events/sec, bytes/node at 1k/128k/1M nodes) come from
@@ -14,7 +15,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexsnoop::{energy_model_for, Algorithm, MachineConfig, Simulator, VecStream};
 use flexsnoop_engine::{Cycle, Cycles, QueueKind, Scheduler, SplitMix64};
 use flexsnoop_mem::{CacheGeometry, CoherState, SetAssocCache};
-use flexsnoop_predictor::PredictorSpec;
+use flexsnoop_predictor::{PredictorBank, PredictorSpec};
 use flexsnoop_workload::{AccessStream, LineAddr, MemAccess};
 
 const EVENTS: u64 = 20_000;
@@ -189,6 +190,37 @@ fn cache_full_l2() -> u64 {
     hits
 }
 
+/// The paper's L1 (128 sets × 4 ways) filled with four lines a set, and
+/// `EVENTS` lines drawn from those at random. Under uniform random hits a
+/// line is as likely to sit at any way position, so the hits land on
+/// every position.
+fn full_l1() -> (SetAssocCache<()>, Vec<LineAddr>) {
+    let c = &MachineConfig::isca2006(4).caches;
+    let mut l1 = SetAssocCache::new(CacheGeometry::from_capacity(
+        c.l1_bytes,
+        c.l1_ways,
+        c.line_bytes,
+    ));
+    let entries = l1.geometry().entries() as u64;
+    for line in 0..entries {
+        l1.insert(LineAddr(line), ());
+    }
+    let mut rng = SplitMix64::new(0x11);
+    let hits = (0..EVENTS)
+        .map(|_| LineAddr(rng.next_below(entries)))
+        .collect();
+    (l1, hits)
+}
+
+/// Hits `l1` on each of `lines`, each hit moving its way to the back of
+/// its set: the demand accesses a core's own L1 serves.
+fn cache_l1_hit_promote(l1: &mut SetAssocCache<()>, lines: &[LineAddr]) -> u64 {
+    lines
+        .iter()
+        .map(|&line| u64::from(l1.get(line).is_some()))
+        .sum()
+}
+
 /// The scale machine's L2 (8 sets × 4 ways) filled with `EVENTS`
 /// distinct lines, so every fill past the first 32 evicts its set's LRU
 /// way; every other fill first promotes a resident line of its set.
@@ -204,10 +236,16 @@ fn cache_full_set_churn() -> u64 {
     evictions
 }
 
-/// Sweeps predictions across a 100k-node flat Subset bank (the
-/// struct-of-arrays predictor layout).
-fn bank_sweep(nodes: usize, lookups: u64) -> u64 {
-    let mut bank = PredictorSpec::Subset { entries: 8 }.build_bank(nodes);
+/// A flat Subset bank of 8-entry tables (the struct-of-arrays predictor
+/// layout) for `nodes` nodes.
+fn subset_bank(nodes: usize) -> PredictorBank {
+    PredictorSpec::Subset { entries: 8 }.build_bank(nodes)
+}
+
+/// Sweeps `lookups` predictions, and a training for every third, across
+/// `bank`'s nodes.
+fn bank_sweep(bank: &mut PredictorBank, lookups: u64) -> u64 {
+    let nodes = bank.len();
     let mut hits = 0u64;
     for i in 0..lookups {
         let node = (i as usize * 7919) % nodes;
@@ -267,11 +305,19 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(cache_sparse_l2()))
     });
     group.bench_function("cache_full_l2", |b| b.iter(|| black_box(cache_full_l2())));
+    group.bench_function("cache_l1_hit_promote", |b| {
+        let (mut l1, lines) = full_l1();
+        b.iter(|| black_box(cache_l1_hit_promote(&mut l1, &lines)))
+    });
     group.bench_function("cache_full_set_churn", |b| {
         b.iter(|| black_box(cache_full_set_churn()))
     });
-    group.bench_function("soa_subset_bank_100k_nodes", |b| {
-        b.iter(|| black_box(bank_sweep(100_000, 50_000)))
+    group.bench_function("soa_subset_bank_100k_nodes_build", |b| {
+        b.iter(|| black_box(subset_bank(100_000)))
+    });
+    group.bench_function("soa_subset_bank_100k_nodes_sweep", |b| {
+        let mut bank = subset_bank(100_000);
+        b.iter(|| black_box(bank_sweep(&mut bank, 50_000)))
     });
     group.bench_function("soa_scale_sim_4096_nodes", |b| {
         b.iter(|| black_box(scale_sim_run()))

@@ -40,7 +40,9 @@ mod scope;
 use std::any::Any;
 use std::collections::VecDeque;
 
-use flexsnoop_engine::{Cycle, Cycles, FxHashMap, FxHashSet, QueueKind, Resource, Scheduler};
+use flexsnoop_engine::{
+    map_heap_bytes, Cycle, Cycles, FxHashMap, FxHashSet, QueueKind, Resource, Scheduler,
+};
 use flexsnoop_mem::{
     invariants, CacheGeometry, CmpCaches, CmpId, CoherState, InvalidateOutcome, LineAddr,
 };
@@ -1231,9 +1233,9 @@ impl Simulator {
             .sum();
         let ports = ((self.snoop_ports.capacity() + self.mem_ports.capacity())
             * size_of::<Resource>()) as u64;
-        let dynamic = (self.gateway.capacity() * (size_of::<((TxnId, u32), NodeState)>() + 16)
-            + self.residency.capacity() * (size_of::<(LineAddr, LineCopies)>() + 16)
-            + self.rtt.capacity() * size_of::<RttEstimator>()) as u64;
+        let dynamic = map_heap_bytes(&self.gateway)
+            + map_heap_bytes(&self.residency)
+            + (self.rtt.capacity() * size_of::<RttEstimator>()) as u64;
         let locality: u64 = self.locality.iter().map(|t| t.footprint_bytes()).sum();
         let total = caches
             + presence

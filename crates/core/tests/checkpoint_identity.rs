@@ -206,64 +206,64 @@ fn snapshot_bytes_match_the_pinned_digests() {
             name: "superset-agg",
             build: || fresh(Algorithm::SupersetAgg),
             ran: |_, _| true,
-            snapshot_digest: 0xd8f1_e117_f5e7_c85e,
-            snapshot_len: 152_047,
+            snapshot_digest: 0xa43d_091d_d312_66b8,
+            snapshot_len: 142_103,
             stats_digest: 0x5d54_4dc0_a5e6_caa4,
         },
         Pinned {
             name: "lazy",
             build: || fresh(Algorithm::Lazy),
             ran: |_, _| true,
-            snapshot_digest: 0x7110_7af7_0fc0_8c61,
-            snapshot_len: 97_012,
+            snapshot_digest: 0xc5d4_faad_c11d_f6ed,
+            snapshot_len: 87_684,
             stats_digest: 0xd89c_45fd_52bc_e5c8,
         },
         Pinned {
             name: "superset-con write filtering",
             build: write_filtered,
             ran: |sim, _| sim.write_snoops_filtered() > 0,
-            snapshot_digest: 0x6e68_f711_ebbd_9401,
-            snapshot_len: 189_146,
+            snapshot_digest: 0xbd62_4f71_980f_d4bb,
+            snapshot_len: 179_162,
             stats_digest: 0x58c8_bee1_6d35_bf41,
         },
         Pinned {
             name: "torus-lossy flat ring",
             build: torus_lossy,
             ran: |_, s| s.robustness.torus_drops > 0,
-            snapshot_digest: 0xfd41_e93a_74c2_0323,
-            snapshot_len: 152_261,
+            snapshot_digest: 0x1c44_02c2_c830_c1a2,
+            snapshot_len: 142_573,
             stats_digest: 0xfa39_7bbd_7ed7_83fc,
         },
         Pinned {
             name: "lazy cold and warm churn",
             build: churned,
             ran: |_, s| s.robustness.churn_detaches == 2,
-            snapshot_digest: 0x0861_f12f_769c_20ae,
-            snapshot_len: 98_892,
+            snapshot_digest: 0x0bec_aace_1c82_5f2d,
+            snapshot_len: 88_692,
             stats_digest: 0x2788_82e7_c2ed_19e8,
         },
         Pinned {
             name: "subset 4x4 bridge drops",
             build: hier_lossy,
             ran: |_, s| s.escalations > 0,
-            snapshot_digest: 0xb0ad_ba19_80ed_9448,
-            snapshot_len: 242_317,
+            snapshot_digest: 0xc389_1522_2530_e419,
+            snapshot_len: 222_069,
             stats_digest: 0x25fd_359c_b216_80fc,
         },
         Pinned {
             name: "exact",
             build: exact_pressured,
             ran: |_, s| s.downgrades > 0 && s.downgrade_rereads > 0,
-            snapshot_digest: 0x9002_9b58_89f3_169f,
-            snapshot_len: 102_772,
+            snapshot_digest: 0x2317_28d9_2bc4_c1cd,
+            snapshot_len: 92_340,
             stats_digest: 0xbdb8_2281_59c0_5e78,
         },
         Pinned {
             name: "barnes superset-agg",
             build: barnes,
             ran: |_, s| s.local_peer_hits > 0,
-            snapshot_digest: 0x2793_f33e_921e_1a22,
-            snapshot_len: 447_202,
+            snapshot_digest: 0x7d3d_f52d_1573_e7ed,
+            snapshot_len: 404_146,
             stats_digest: 0x0743_aeff_b5a7_5a7b,
         },
     ];

@@ -22,6 +22,28 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// Heap bytes `map`'s table holds, estimated from its capacity the way
+/// std's SwissTable lays a table out on x86-64: a power-of-two count of
+/// buckets (capacity is 7/8 of them, or one fewer below 8), the entries,
+/// one per bucket, rounded up to 16 bytes, then one control byte per
+/// bucket plus one 16-byte group. An empty map allocates nothing.
+/// Removals can leave tombstones, which lower the capacity std reports;
+/// the estimate stays exact while they number under half the capacity.
+pub fn map_heap_bytes<K, V, S>(map: &HashMap<K, V, S>) -> u64 {
+    let capacity = map.capacity();
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 8 {
+        capacity + 1
+    } else {
+        capacity * 8 / 7
+    }
+    .next_power_of_two();
+    let entries = (buckets * size_of::<(K, V)>()).next_multiple_of(16);
+    (entries + buckets + 16) as u64
+}
+
 /// The multiplier from the golden ratio (2^64 / φ), as used by rustc's
 /// FxHash; spreads consecutive integers across the full 64-bit range.
 const K: u64 = 0x517c_c1b7_2722_0a95;

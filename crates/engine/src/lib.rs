@@ -42,7 +42,7 @@ pub mod snap;
 pub mod time;
 
 pub use executor::{Executor, ExecutorService, ExecutorStats, WorkerStats};
-pub use fxhash::{FxHashMap, FxHashSet};
+pub use fxhash::{map_heap_bytes, FxHashMap, FxHashSet};
 pub use queue::{EventQueue, QueueKind};
 pub use resource::Resource;
 pub use rng::SplitMix64;

@@ -39,7 +39,9 @@ pub const SNAP_MAGIC: [u8; 4] = *b"FSNP";
 /// v4: derived state is rebuilt on restore, not stored — the residency
 /// indexes, line-busy counts, active-core count, timeout bounds and the
 /// per-transaction blocking flag.
-pub const SNAP_VERSION: u32 = 4;
+/// v5: a set-associative array writes each set's ways in recency order,
+/// with no LRU clock and no per-way stamps.
+pub const SNAP_VERSION: u32 = 5;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -70,38 +70,18 @@ impl CacheGeometry {
     }
 }
 
-/// An empty set's head.
-const NIL: u32 = u32::MAX;
+// A way is its line and its value, kept in parallel arrays: 9 bytes for
+// the L2's coherence states and 8 for the tag-only L1 filters and
+// predictor tables.
+const _: () = assert!(size_of::<LineAddr>() + size_of::<CoherState>() == 9);
 
-/// One way of the array. The live ways of a set's chunk come first, in
-/// set order; every other slot holds `None`.
+/// One segment of a [`Slab`]: the lines of its chunks' ways and, at the
+/// same places, their values. A vacant way holds a stale line and
+/// `V::default()`.
 #[derive(Debug, Clone)]
-struct Way<V> {
-    line: LineAddr,
-    value: Option<V>,
-    /// The array's clock at this way's last use; see
-    /// [`SetAssocCache::renumber`] for what keeps it in 32 bits.
-    last_use: u32,
-}
-
-// A `u32` stamp keeps the ways of both production arrays, the L2's states
-// and the tag-only L1s and predictor tables, at 16 bytes.
-const _: () = assert!(size_of::<Way<CoherState>>() == 16 && size_of::<Way<()>>() == 16);
-
-impl<V> Way<V> {
-    fn vacant() -> Self {
-        Way {
-            line: LineAddr(0),
-            value: None,
-            last_use: 0,
-        }
-    }
-
-    /// Whether this way is live and holds `line`.
-    #[inline]
-    fn holds(&self, line: LineAddr) -> bool {
-        self.line == line && self.value.is_some()
-    }
+struct Segment<V> {
+    lines: Vec<LineAddr>,
+    values: Vec<V>,
 }
 
 /// Equal-sized chunks of ways, numbered from 0, in segments that never
@@ -112,12 +92,12 @@ impl<V> Way<V> {
 /// to strand.
 #[derive(Debug, Clone)]
 struct Slab<V> {
-    segments: Vec<Vec<Way<V>>>,
+    segments: Vec<Segment<V>>,
     /// Chunks in use: chunks `0..len`.
     len: usize,
 }
 
-impl<V> Slab<V> {
+impl<V: Default> Slab<V> {
     fn new() -> Self {
         Self {
             segments: Vec::new(),
@@ -138,17 +118,22 @@ impl<V> Slab<V> {
         (2 << seg) & !3
     }
 
-    /// Chunk `c`, of `size` ways.
+    /// The first `len` ways of chunk `c`, of `size` ways: their lines and
+    /// their values.
     #[inline]
-    fn chunk(&self, c: usize, size: usize) -> &[Way<V>] {
+    fn ways(&self, c: usize, size: usize, len: usize) -> (&[LineAddr], &[V]) {
         let (seg, at) = Self::locate(c);
-        &self.segments[seg][at * size..(at + 1) * size]
+        let segment = &self.segments[seg];
+        let ways = at * size..at * size + len;
+        (&segment.lines[ways.clone()], &segment.values[ways])
     }
 
     #[inline]
-    fn chunk_mut(&mut self, c: usize, size: usize) -> &mut [Way<V>] {
+    fn ways_mut(&mut self, c: usize, size: usize, len: usize) -> (&mut [LineAddr], &mut [V]) {
         let (seg, at) = Self::locate(c);
-        &mut self.segments[seg][at * size..(at + 1) * size]
+        let segment = &mut self.segments[seg];
+        let ways = at * size..at * size + len;
+        (&mut segment.lines[ways.clone()], &mut segment.values[ways])
     }
 
     /// Appends a chunk of `size` vacant ways and returns its number.
@@ -156,11 +141,16 @@ impl<V> Slab<V> {
         let c = self.len;
         let (seg, _) = Self::locate(c);
         if seg == self.segments.len() {
-            let chunks = Self::first(seg + 1) - Self::first(seg);
-            self.segments.push(Vec::with_capacity(chunks * size));
+            let ways = (Self::first(seg + 1) - Self::first(seg)) * size;
+            self.segments.push(Segment {
+                lines: Vec::with_capacity(ways),
+                values: Vec::with_capacity(ways),
+            });
         }
-        let ways = std::iter::repeat_with(Way::vacant).take(size);
-        self.segments[seg].extend(ways);
+        let segment = &mut self.segments[seg];
+        let end = segment.lines.len() + size;
+        segment.lines.resize(end, LineAddr(0));
+        segment.values.resize_with(end, V::default);
         self.len += 1;
         c
     }
@@ -173,39 +163,64 @@ impl<V> Slab<V> {
         let moved = c != self.len;
         if moved {
             let (to_seg, to) = Self::locate(c);
-            let (before, from) = self.segments.split_at_mut(seg);
-            let (same, from) = from[0].split_at_mut(at * size);
-            let into = if to_seg == seg {
-                same
-            } else {
-                &mut before[to_seg][..]
-            };
-            into[to * size..(to + 1) * size].swap_with_slice(&mut from[..size]);
+            for k in 0..size {
+                let from = &mut self.segments[seg];
+                let way = (
+                    from.lines[at * size + k],
+                    std::mem::take(&mut from.values[at * size + k]),
+                );
+                let into = &mut self.segments[to_seg];
+                (into.lines[to * size + k], into.values[to * size + k]) = way;
+            }
         }
-        self.segments[seg].truncate(at * size);
+        self.segments[seg].lines.truncate(at * size);
+        self.segments[seg].values.truncate(at * size);
         moved
     }
 
     /// Ways allocated.
     fn capacity(&self) -> usize {
-        self.segments.iter().map(Vec::capacity).sum()
+        self.segments.iter().map(|s| s.lines.capacity()).sum()
     }
+}
+
+/// Moves way `k` of a set's ways to the end, the most recently used
+/// place; the ways after it move down one. Each step reads a way no
+/// earlier step wrote, so no step waits on the one before: adjacent
+/// swaps, which do, evicted from a full 8-way set 3.7 times slower, and
+/// `rotate_left` of both arrays or a `memmove` of the lines made hits
+/// slower (EXPERIMENTS.md).
+#[inline]
+fn to_back<V: Default>(lines: &mut [LineAddr], values: &mut [V], k: usize) {
+    let n = lines.len();
+    let values = &mut values[..n];
+    let way = (lines[k], std::mem::take(&mut values[k]));
+    for i in k..n - 1 {
+        lines[i] = lines[i + 1];
+        values[i] = std::mem::take(&mut values[i + 1]);
+    }
+    (lines[n - 1], values[n - 1]) = way;
 }
 
 /// A set-associative cache mapping [`LineAddr`] to `V` with true-LRU
 /// replacement inside each set.
 ///
+/// Each set keeps its live ways in recency order, least recently used
+/// first, so no way carries a stamp and the array keeps no clock. A hit
+/// ([`get`](Self::get), [`get_mut`](Self::get_mut), or
+/// [`insert`](Self::insert) of a resident line) moves its way to the end;
+/// an insert into a full set evicts the first way; [`remove`](Self::remove)
+/// shifts the later ways down; [`peek`](Self::peek) moves nothing.
+///
 /// Sets own no storage. A set holding one line keeps it in a chunk of one
 /// way, and a set holding more keeps them in a chunk of `ways` contiguous
 /// ways, so a full set is probed as one run of memory. Each chunk size
 /// has its own `Slab`, kept dense: a freed chunk takes the slab's last
-/// chunk, so a slab holds exactly the chunks of the sets using it. Inside
-/// its chunk a set keeps the order a per-set `Vec` would have under
-/// `push` and `swap_remove` (a new way goes last; a removed or evicted
-/// way's place takes the set's last way), so victims,
-/// [`iter`](Self::iter) order and snapshot bytes follow that order. A way
-/// keeps its LRU stamp in 32 bits, so it takes 16 bytes for the L2's
-/// coherence states and for the tag-only L1 filters and predictor tables.
+/// chunk, so a slab holds exactly the chunks of the sets using it. A chunk
+/// keeps its ways' lines and values in parallel arrays: a probe scans the
+/// lines alone, and a way takes 9 bytes for the L2's coherence states and
+/// 8 for the tag-only L1 filters and predictor tables. A set's `u32` head
+/// names its chunk and, in its low bits, counts its live ways.
 ///
 /// # Example
 ///
@@ -221,27 +236,37 @@ pub struct SetAssocCache<V> {
     geometry: CacheGeometry,
     /// The chunks of one way, then the chunks of `ways` ways.
     slabs: [Slab<V>; 2],
-    /// One per set: `NIL` when the set is empty, else the number of its
-    /// chunk shifted left one bit, the low bit set for a chunk of `ways`
-    /// ways.
+    /// One per set: the number of its chunk shifted left `shift` bits,
+    /// plus its count of live ways; 0 for an empty set.
     heads: Box<[u32]>,
-    clock: u32,
+    /// Low bits of a head that count its set's ways: enough for `ways`.
+    shift: u32,
     occupied: usize,
 }
 
-impl<V> SetAssocCache<V> {
+impl<V: Default> SetAssocCache<V> {
     /// Creates an empty cache with the given geometry.
     ///
     /// The way slabs are allocated on first insert and grow with the
     /// lines resident, so a million cold caches (or one huge flat
     /// predictor bank) cost only their `u32` set heads until touched —
     /// load-bearing for the `bench --scale` node counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set's head cannot hold both a way count up to `ways`
+    /// and a chunk number below `sets`.
     pub fn new(geometry: CacheGeometry) -> Self {
+        let shift = usize::BITS - geometry.ways.leading_zeros();
+        assert!(
+            shift < u32::BITS && geometry.sets as u64 <= 1 << (u32::BITS - shift),
+            "{geometry:?} does not fit a u32 set head"
+        );
         Self {
             geometry,
             slabs: [Slab::new(), Slab::new()],
-            heads: vec![NIL; geometry.sets].into_boxed_slice(),
-            clock: 0,
+            heads: vec![0; geometry.sets].into_boxed_slice(),
+            shift,
             occupied: 0,
         }
     }
@@ -261,47 +286,10 @@ impl<V> SetAssocCache<V> {
         self.occupied == 0
     }
 
-    /// Advances the LRU clock and returns the new stamp; a clock about to
-    /// pass `u32::MAX` first renumbers the stamps.
+    /// The number of live ways `head` counts.
     #[inline]
-    fn tick(&mut self) -> u32 {
-        if self.clock == u32::MAX {
-            self.renumber();
-        }
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Replaces every stamp by its rank in its set (1 for the least
-    /// recently used way, up to the set's length) and restarts the clock
-    /// at `ways`, so the clock can run on past `u32::MAX`. Ranks keep each
-    /// set's order, ties included, so every later victim is the one the
-    /// old stamps would have picked.
-    #[cold]
-    fn renumber(&mut self) {
-        let mut stamps = Vec::new();
-        for set in 0..self.heads.len() {
-            let slots = self.slots_mut(set);
-            stamps.clear();
-            stamps.extend(
-                slots
-                    .iter()
-                    .take_while(|w| w.value.is_some())
-                    .map(|w| w.last_use),
-            );
-            for (way, stamp) in slots.iter_mut().zip(&stamps) {
-                way.last_use = rank(&stamps, stamp);
-            }
-        }
-        self.clock = self.geometry.ways as u32;
-    }
-
-    /// `set`'s chunk as its slab (0 for chunks of one way, 1 for chunks
-    /// of `ways` ways) and its number there; `None` for an empty set.
-    #[inline]
-    fn chunk(&self, set: usize) -> Option<(usize, usize)> {
-        let head = self.heads[set];
-        (head != NIL).then_some(((head & 1) as usize, (head >> 1) as usize))
+    fn count(&self, head: u32) -> usize {
+        (head & ((1 << self.shift) - 1)) as usize
     }
 
     /// Ways per chunk of `slab`.
@@ -314,54 +302,56 @@ impl<V> SetAssocCache<V> {
         }
     }
 
-    /// The slots of `set`'s chunk; its live ways come first.
+    /// `set`'s chunk, as its slab and its number there, and the set's
+    /// count of live ways; `None` for an empty set.
     #[inline]
-    fn slots(&self, set: usize) -> &[Way<V>] {
-        match self.chunk(set) {
-            Some((slab, c)) => self.slabs[slab].chunk(c, self.chunk_ways(slab)),
-            None => &[],
-        }
+    fn chunk(&self, set: usize) -> Option<(usize, usize, usize)> {
+        let head = self.heads[set];
+        let len = self.count(head);
+        (len > 0).then(|| (usize::from(len > 1), (head >> self.shift) as usize, len))
+    }
+
+    /// `set`'s live ways, least recently used first: their lines and
+    /// their values.
+    #[inline]
+    fn ways_of(&self, set: usize) -> (&[LineAddr], &[V]) {
+        let Some((slab, c, len)) = self.chunk(set) else {
+            return (&[], &[]);
+        };
+        self.slabs[slab].ways(c, self.chunk_ways(slab), len)
     }
 
     #[inline]
-    fn slots_mut(&mut self, set: usize) -> &mut [Way<V>] {
-        match self.chunk(set) {
-            Some((slab, c)) => {
-                let size = self.chunk_ways(slab);
-                self.slabs[slab].chunk_mut(c, size)
-            }
-            None => &mut [],
-        }
+    fn ways_of_mut(&mut self, set: usize) -> (&mut [LineAddr], &mut [V]) {
+        let Some((slab, c, len)) = self.chunk(set) else {
+            return (&mut [], &mut []);
+        };
+        let size = self.chunk_ways(slab);
+        self.slabs[slab].ways_mut(c, size, len)
     }
 
-    /// The ways of `set`, in order.
-    #[inline]
-    fn set_ways(&self, set: usize) -> impl Iterator<Item = &Way<V>> {
-        self.slots(set).iter().take_while(|w| w.value.is_some())
-    }
-
-    /// Moves `set`'s live ways into a chunk sized for `len` of them (none
-    /// for an empty set, one way for one line, `ways` ways for more) and
-    /// frees its old chunk.
+    /// Moves `set` to a chunk sized for `len` ways (none for an empty set,
+    /// one way for one line, `ways` ways for more), carrying its first way
+    /// over, frees its old chunk, and counts `len` ways in its head. A set
+    /// changes chunk only between zero, one and two lines, so its first
+    /// way is all it can carry.
     fn reseat(&mut self, set: usize, len: usize) {
         let old = self.chunk(set);
-        self.heads[set] = NIL;
+        self.heads[set] = 0;
         if len > 0 {
             let slab = usize::from(len > 1);
-            let c = self.slabs[slab].push(self.chunk_ways(slab));
-            assert!(c < (NIL >> 1) as usize, "cache slab full");
-            if let Some((old_slab, old_c)) = old {
+            let size = self.chunk_ways(slab);
+            let c = self.slabs[slab].push(size);
+            if let Some((old_slab, old_c, _)) = old {
                 let old_size = self.chunk_ways(old_slab);
-                for k in 0..old_size.min(len) {
-                    let from = &mut self.slabs[old_slab].chunk_mut(old_c, old_size)[k];
-                    let way = std::mem::replace(from, Way::vacant());
-                    let size = self.chunk_ways(slab);
-                    self.slabs[slab].chunk_mut(c, size)[k] = way;
-                }
+                let (lines, values) = self.slabs[old_slab].ways_mut(old_c, old_size, 1);
+                let way = (lines[0], std::mem::take(&mut values[0]));
+                let (lines, values) = self.slabs[slab].ways_mut(c, size, 1);
+                (lines[0], values[0]) = way;
             }
-            self.heads[set] = (c as u32) << 1 | slab as u32;
+            self.heads[set] = (c as u32) << self.shift | len as u32;
         }
-        if let Some((old_slab, old_c)) = old {
+        if let Some((old_slab, old_c, _)) = old {
             self.release(old_slab, old_c);
         }
     }
@@ -373,19 +363,25 @@ impl<V> SetAssocCache<V> {
         if self.slabs[slab].swap_remove(c, size) {
             // A chunk in use holds a live first way, whose line names the
             // set to repoint.
-            let first = self.slabs[slab].chunk(c, size)[0].line;
-            self.heads[self.geometry.set_of(first)] = (c as u32) << 1 | slab as u32;
+            let set = self.geometry.set_of(self.slabs[slab].ways(c, size, 1).0[0]);
+            let len = self.count(self.heads[set]);
+            self.heads[set] = (c as u32) << self.shift | len as u32;
         }
     }
 
-    /// Appends `way` to `set`, which holds `len` ways, fewer than the
-    /// geometry allows, moving the set to a larger chunk if its own is
-    /// full.
-    fn append(&mut self, set: usize, len: usize, way: Way<V>) {
-        if len == self.slots(set).len() {
+    /// Adds `line` to `set`, which holds fewer ways than the geometry
+    /// allows, as its most recently used way.
+    fn append(&mut self, set: usize, line: LineAddr, value: V) {
+        let len = self.count(self.heads[set]);
+        if len < 2 {
+            // An empty set has no chunk, and a set of one line fills its
+            // one-way chunk.
             self.reseat(set, len + 1);
+        } else {
+            self.heads[set] += 1;
         }
-        self.slots_mut(set)[len] = way;
+        let (lines, values) = self.ways_of_mut(set);
+        (lines[len], values[len]) = (line, value);
         self.occupied += 1;
     }
 
@@ -393,8 +389,9 @@ impl<V> SetAssocCache<V> {
     /// would perform on the tag array).
     #[inline]
     pub fn peek(&self, line: LineAddr) -> Option<&V> {
-        let slots = self.slots(self.geometry.set_of(line));
-        slots.iter().find(|w| w.holds(line))?.value.as_ref()
+        let (lines, values) = self.ways_of(self.geometry.set_of(line));
+        let k = lines.iter().position(|&l| l == line)?;
+        Some(&values[k])
     }
 
     /// Looks up `line`, promoting it to most-recently-used on hit.
@@ -404,11 +401,10 @@ impl<V> SetAssocCache<V> {
 
     /// Mutable lookup, promoting to most-recently-used on hit.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut V> {
-        let stamp = self.tick();
-        let slots = self.slots_mut(self.geometry.set_of(line));
-        let way = slots.iter_mut().find(|w| w.holds(line))?;
-        way.last_use = stamp;
-        way.value.as_mut()
+        let (lines, values) = self.ways_of_mut(self.geometry.set_of(line));
+        let k = lines.iter().position(|&l| l == line)?;
+        to_back(lines, values, k);
+        values.last_mut()
     }
 
     /// Whether `line` is present (no LRU update).
@@ -420,63 +416,40 @@ impl<V> SetAssocCache<V> {
     /// to make room, if the set was full. Inserting an already-present line
     /// replaces its value in place (no eviction) and promotes it.
     pub fn insert(&mut self, line: LineAddr, value: V) -> Option<(LineAddr, V)> {
-        let stamp = self.tick();
         let (set, ways) = (self.geometry.set_of(line), self.geometry.ways);
-        let slots = self.slots_mut(set);
-        // One pass finds `line`, or else the set's length and its least
-        // recently used way (the first on a stamp tie).
-        let (mut len, mut lru, mut lru_use) = (0, 0, u32::MAX);
-        for (at, way) in slots.iter_mut().enumerate() {
-            if way.value.is_none() {
-                break;
-            }
-            if way.line == line {
-                way.last_use = stamp;
-                way.value = Some(value);
-                return None;
-            }
-            if way.last_use < lru_use {
-                (lru, lru_use) = (at, way.last_use);
-            }
-            len += 1;
+        let (lines, values) = self.ways_of_mut(set);
+        let len = lines.len();
+        if let Some(k) = lines.iter().position(|&l| l == line) {
+            to_back(lines, values, k);
+            values[len - 1] = value;
+            return None;
         }
-        let way = Way {
-            line,
-            value: Some(value),
-            last_use: stamp,
-        };
         if len == ways {
-            // Evict as `swap_remove` then `push` would: the set's last way
-            // fills the victim's place and the new way goes last.
-            slots.swap(lru, len - 1);
-            let old = std::mem::replace(&mut slots[len - 1], way);
-            return Some((old.line, old.value.expect("a live way holds a value")));
+            // The least recently used way, the first, makes room; the new
+            // way goes last.
+            to_back(lines, values, 0);
+            let old = std::mem::replace(&mut lines[len - 1], line);
+            return Some((old, std::mem::replace(&mut values[len - 1], value)));
         }
-        if len < slots.len() {
-            slots[len] = way;
-            self.occupied += 1;
-        } else {
-            self.append(set, len, way);
-        }
+        self.append(set, line, value);
         None
     }
 
     /// Removes `line`, returning its value if present.
     pub fn remove(&mut self, line: LineAddr) -> Option<V> {
         let set = self.geometry.set_of(line);
-        let slots = self.slots_mut(set);
-        let at = slots.iter().position(|w| w.holds(line))?;
-        // As `swap_remove`: the set's last way fills the removed way's
-        // place.
-        let len = slots.iter().take_while(|w| w.value.is_some()).count() - 1;
-        slots.swap(at, len);
-        let value = slots[len].value.take();
-        let size = slots.len();
+        let (lines, values) = self.ways_of_mut(set);
+        let len = lines.len();
+        let k = lines.iter().position(|&l| l == line)?;
+        to_back(lines, values, k);
+        let value = std::mem::take(&mut values[len - 1]);
         self.occupied -= 1;
-        if len < 2 && size != len {
-            self.reseat(set, len);
+        if len > 2 {
+            self.heads[set] -= 1;
+        } else {
+            self.reseat(set, len - 1);
         }
-        value
+        Some(value)
     }
 
     /// Estimated heap footprint of this array in bytes: the struct, one
@@ -488,8 +461,8 @@ impl<V> SetAssocCache<V> {
         let segments: usize = self.slabs.iter().map(|s| s.segments.capacity()).sum();
         let bytes = size_of::<Self>()
             + heads
-            + ways * size_of::<Way<V>>()
-            + segments * size_of::<Vec<Way<V>>>();
+            + ways * (size_of::<LineAddr>() + size_of::<V>())
+            + segments * size_of::<Segment<V>>();
         bytes as u64
     }
 
@@ -498,46 +471,43 @@ impl<V> SetAssocCache<V> {
         (0..self.heads.len()).flat_map(move |set| self.iter_set(set))
     }
 
-    /// Iterates over the `(line, value)` entries of one set.
+    /// Iterates over the `(line, value)` entries of one set, least
+    /// recently used first.
     ///
     /// # Panics
     ///
     /// Panics if `set` is not below the geometry's set count.
     pub(crate) fn iter_set(&self, set: usize) -> impl Iterator<Item = (LineAddr, &V)> {
-        self.set_ways(set)
-            .filter_map(|w| Some((w.line, w.value.as_ref()?)))
+        let (lines, values) = self.ways_of(set);
+        lines.iter().copied().zip(values)
     }
 
-    /// Serializes the full array state — per-set way order (observable
-    /// through `swap_remove`-order eviction), per-way `last_use` stamps,
-    /// and the LRU clock — using `enc` to encode each stored value. The
-    /// clock and the stamps are written as `u64`s.
+    /// Serializes the array's state, using `enc` to encode each stored
+    /// value: the set count, then each set's way count and its ways in
+    /// recency order, least recently used first, each as its line and its
+    /// value. That order is all LRU replacement keeps, so no clock or
+    /// stamp is written.
     ///
     /// Geometry is *not* serialized: per the `Snapshot` overlay contract the
     /// restore target is freshly constructed from the same configuration,
     /// and [`restore_from_with`](Self::restore_from_with) verifies the set
     /// count matches.
     pub fn save_into_with(&self, w: &mut SnapWriter, mut enc: impl FnMut(&V, &mut SnapWriter)) {
-        w.put_u64(u64::from(self.clock));
         w.put_usize(self.heads.len());
         for set in 0..self.heads.len() {
-            w.put_usize(self.set_ways(set).count());
-            for way in self.set_ways(set) {
-                w.put_u64(way.line.0);
-                w.put_u64(u64::from(way.last_use));
-                enc(way.value.as_ref().expect("a live way holds a value"), w);
+            let (lines, values) = self.ways_of(set);
+            w.put_usize(lines.len());
+            for (line, value) in lines.iter().zip(values) {
+                w.put_u64(line.0);
+                enc(value, w);
             }
         }
     }
 
     /// Restores state written by [`save_into_with`](Self::save_into_with)
     /// onto a cache built with the same geometry, using `dec` to decode each
-    /// stored value. Way order within each set is reproduced exactly, so
-    /// future evictions pick identical victims. The array keeps its clock
-    /// and stamps in 32 bits and, before the clock would wrap, replaces
-    /// each stamp by its rank in its set; a stream holding a clock or
-    /// stamp of `2^32` or more, which only an older build writes, restores
-    /// renumbered the same way.
+    /// stored value. Each set's recency order is reproduced exactly, so
+    /// future evictions pick identical victims.
     ///
     /// # Errors
     ///
@@ -556,22 +526,17 @@ impl<V> SetAssocCache<V> {
     }
 
     /// Restores state written by [`save_into_with`](Self::save_into_with)
-    /// into a new array of `geometry`, or `None` for the bytes of a fresh
-    /// one (clock 0, every set empty), which then allocates nothing.
+    /// into a new array of `geometry`, or `None` for the bytes of an array
+    /// that holds no line, which then allocates nothing.
     pub(crate) fn restore_new(
         geometry: CacheGeometry,
         r: &mut SnapReader<'_>,
         mut dec: impl FnMut(&mut SnapReader<'_>) -> Result<V, SnapError>,
     ) -> Result<Option<Self>, SnapError> {
-        let clock = r.get_u64()?;
         if r.get_usize()? != geometry.sets {
             return Err(SnapError::Corrupt("set count does not match geometry"));
         }
-        let mut cache = (clock != 0).then(|| Self::new(geometry));
-        let wide = |stamp: u64| stamp > u64::from(u32::MAX);
-        let mut too_wide = wide(clock);
-        // One set's stamps as written, to rank them if one is too wide.
-        let mut stamps = Vec::new();
+        let mut cache: Option<Self> = None;
         for si in 0..geometry.sets {
             let len = r.get_usize()?;
             if len > geometry.ways {
@@ -579,58 +544,27 @@ impl<V> SetAssocCache<V> {
                     "set holds more ways than geometry allows",
                 ));
             }
-            if len == 0 {
-                continue;
-            }
-            let cache = cache.get_or_insert_with(|| Self::new(geometry));
-            stamps.clear();
-            for k in 0..len {
+            for _ in 0..len {
                 let line = LineAddr(r.get_u64()?);
                 if geometry.set_of(line) != si {
                     return Err(SnapError::Corrupt("line indexed into the wrong set"));
                 }
-                if cache.slots(si).iter().any(|w| w.holds(line)) {
+                let cache = cache.get_or_insert_with(|| Self::new(geometry));
+                if cache.ways_of(si).0.contains(&line) {
                     return Err(SnapError::Corrupt("set lists a line twice"));
                 }
-                let stamp = r.get_u64()?;
-                let value = Some(dec(r)?);
-                stamps.push(stamp);
-                let way = Way {
-                    line,
-                    value,
-                    last_use: stamp as u32,
-                };
-                cache.append(si, k, way);
-            }
-            if stamps.iter().any(|&s| wide(s)) {
-                too_wide = true;
-                for (way, stamp) in cache.slots_mut(si).iter_mut().zip(&stamps) {
-                    way.last_use = rank(&stamps, stamp);
-                }
-            }
-        }
-        if let Some(cache) = &mut cache {
-            if too_wide {
-                cache.renumber();
-            } else {
-                cache.clock = clock as u32;
+                let value = dec(r)?;
+                cache.append(si, line, value);
             }
         }
         Ok(cache)
     }
 }
 
-/// `stamp`'s rank among `stamps`: one more than the number of smaller
-/// stamps, so ranks run from 1 to `stamps.len()` and keep order and ties.
-fn rank<T: PartialOrd>(stamps: &[T], stamp: &T) -> u32 {
-    1 + stamps.iter().filter(|s| *s < stamp).count() as u32
-}
-
-/// Writes the bytes [`SetAssocCache::save_into_with`] writes for a fresh
-/// array of `geometry`, whatever it stores: clock 0, the set count, and
-/// an empty count per set.
+/// Writes the bytes [`SetAssocCache::save_into_with`] writes for an array
+/// of `geometry` that holds no line, whatever it stores: the set count
+/// and an empty count per set.
 pub(crate) fn save_fresh(geometry: CacheGeometry, w: &mut SnapWriter) {
-    w.put_u64(0);
     w.put_usize(geometry.sets);
     for _ in 0..geometry.sets {
         w.put_usize(0);
@@ -640,6 +574,7 @@ pub(crate) fn save_fresh(geometry: CacheGeometry, w: &mut SnapWriter) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexsnoop_engine::SplitMix64;
 
     fn small() -> SetAssocCache<u32> {
         SetAssocCache::new(CacheGeometry::from_entries(8, 2)) // 4 sets x 2 ways
@@ -723,52 +658,150 @@ mod tests {
         }
     }
 
+    /// The lines of `set`, least recently used first.
+    fn recency(c: &SetAssocCache<u32>, set: usize) -> Vec<u64> {
+        c.iter_set(set).map(|(line, _)| line.0).collect()
+    }
+
     #[test]
-    fn snapshot_round_trip_preserves_lru_and_way_order() {
+    fn a_set_keeps_its_ways_in_recency_order() {
+        // 4 sets x 4 ways; lines 0, 4, 8, 12 and 16 map to set 0.
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::from_entries(16, 4));
+        for line in [0, 4, 8, 12] {
+            c.insert(LineAddr(line), line as u32);
+        }
+        assert_eq!(recency(&c, 0), [0, 4, 8, 12]);
+        c.get(LineAddr(4));
+        assert_eq!(recency(&c, 0), [0, 8, 12, 4], "a hit moves to the end");
+        c.insert(LineAddr(8), 80);
+        assert_eq!(recency(&c, 0), [0, 12, 4, 8], "so does a reinsert");
+        c.peek(LineAddr(0));
+        assert_eq!(recency(&c, 0), [0, 12, 4, 8], "a probe moves nothing");
+        assert_eq!(c.insert(LineAddr(16), 16), Some((LineAddr(0), 0)));
+        assert_eq!(recency(&c, 0), [12, 4, 8, 16], "the first way is evicted");
+        c.remove(LineAddr(4));
+        assert_eq!(recency(&c, 0), [12, 8, 16], "later ways shift down");
+        assert_eq!(c.peek(LineAddr(8)), Some(&80));
+    }
+
+    /// `c`'s bytes, restored into a fresh array of its geometry, which
+    /// must write the same bytes.
+    fn round_trip(c: &SetAssocCache<u32>) -> SetAssocCache<u32> {
+        let bytes = bytes_of(c);
+        let mut fresh = SetAssocCache::new(c.geometry());
+        fresh.insert(LineAddr(0), 99); // overlay: restore replaces it
+        let mut r = SnapReader::new(&bytes);
+        fresh.restore_from_with(&mut r, |r| r.get_u32()).unwrap();
+        r.expect_eof().unwrap();
+        assert_eq!(bytes_of(&fresh), bytes);
+        fresh
+    }
+
+    fn bytes_of(c: &SetAssocCache<u32>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save_into_with(&mut w, |v, w| w.put_u32(*v));
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshot_round_trip_preserves_lru_order() {
         let mut c = small();
-        // Lines 0, 4, 8 map to set 0; build non-trivial LRU + way order
-        // (insert 0 and 4, promote 0, evict 4 via 8 — swap_remove reorders).
+        // Lines 0, 4, 8 map to set 0: insert 0 and 4, promote 0, evict 4
+        // with 8.
         c.insert(LineAddr(0), 10);
         c.insert(LineAddr(4), 20);
         c.get(LineAddr(0));
         c.insert(LineAddr(8), 30);
         c.insert(LineAddr(1), 40); // second set, half full
-
-        let mut w = flexsnoop_engine::snap::SnapWriter::new();
-        c.save_into_with(&mut w, |v, w| w.put_u64(u64::from(*v)));
-        let bytes = w.into_bytes();
-        let mut fresh: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::from_entries(8, 2));
-        let mut r = flexsnoop_engine::snap::SnapReader::new(&bytes);
-        fresh
-            .restore_from_with(&mut r, |r| Ok(r.get_u64()? as u32))
-            .unwrap();
-        r.expect_eof().unwrap();
-
+        let mut fresh = round_trip(&c);
         assert_eq!(fresh.len(), c.len());
+        assert_eq!(recency(&fresh, 0), [0, 8]);
         // Identical future behavior: the same insert evicts the same victim
         // from both the original and the restored array.
         assert_eq!(c.insert(LineAddr(12), 50), fresh.insert(LineAddr(12), 50));
-        let mut a: Vec<_> = c.iter().map(|(l, &v)| (l.0, v)).collect();
-        let mut b: Vec<_> = fresh.iter().map(|(l, &v)| (l.0, v)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        assert!(c.iter().eq(fresh.iter()));
+    }
+
+    #[test]
+    fn a_snapshot_is_the_set_count_then_each_sets_ways_in_recency_order() {
+        let mut c = small();
+        c.insert(LineAddr(4), 40);
+        c.insert(LineAddr(0), 0);
+        c.insert(LineAddr(1), 10);
+        c.get(LineAddr(4));
+        let mut w = SnapWriter::new();
+        w.put_usize(4);
+        w.put_usize(2);
+        for (line, value) in [(0, 0), (4, 40)] {
+            w.put_u64(line);
+            w.put_u32(value);
+        }
+        w.put_usize(1);
+        w.put_u64(1);
+        w.put_u32(10);
+        w.put_usize(0);
+        w.put_usize(0);
+        assert_eq!(bytes_of(&c), w.into_bytes());
+    }
+
+    #[test]
+    fn an_array_that_holds_no_line_restores_as_none() {
+        let mut c = small();
+        c.insert(LineAddr(1), 1);
+        c.remove(LineAddr(1));
+        let bytes = bytes_of(&c);
+        let mut w = SnapWriter::new();
+        save_fresh(c.geometry(), &mut w);
+        assert_eq!(bytes, w.into_bytes());
+        let mut r = SnapReader::new(&bytes);
+        let restored = SetAssocCache::restore_new(c.geometry(), &mut r, |r| r.get_u32());
+        assert!(matches!(restored, Ok(None)));
     }
 
     #[test]
     fn snapshot_restore_rejects_geometry_mismatch() {
         let mut c = small();
         c.insert(LineAddr(3), 7);
-        let mut w = flexsnoop_engine::snap::SnapWriter::new();
-        c.save_into_with(&mut w, |v, w| w.put_u64(u64::from(*v)));
-        let bytes = w.into_bytes();
+        let bytes = bytes_of(&c);
         // 2 sets instead of 4: the restore must fail, not silently remap.
         let mut fresh: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::from_entries(4, 2));
-        let mut r = flexsnoop_engine::snap::SnapReader::new(&bytes);
+        let mut r = SnapReader::new(&bytes);
         let err = fresh
-            .restore_from_with(&mut r, |r| Ok(r.get_u64()? as u32))
+            .restore_from_with(&mut r, |r| r.get_u32())
             .unwrap_err();
         assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn snapshot_restore_rejects_a_bad_set() {
+        // 4 sets x 2 ways; each stream lists `lines` in set 0.
+        for (lines, why) in [
+            (&[0, 4, 8][..], "more ways than geometry allows"),
+            (&[0, 1], "wrong set"),
+            (&[4, 4], "a line twice"),
+        ] {
+            let mut w = SnapWriter::new();
+            w.put_usize(4);
+            w.put_usize(lines.len());
+            for &line in lines {
+                w.put_u64(line);
+                w.put_u32(7);
+            }
+            for _ in 1..4 {
+                w.put_usize(0);
+            }
+            let bytes = w.into_bytes();
+            let mut c = small();
+            c.insert(LineAddr(2), 2);
+            let before = bytes_of(&c);
+            let mut r = SnapReader::new(&bytes);
+            let err = c.restore_from_with(&mut r, |r| r.get_u32()).unwrap_err();
+            assert!(
+                matches!(err, SnapError::Corrupt(what) if what.contains(why)),
+                "{err:?}"
+            );
+            assert_eq!(bytes_of(&c), before, "a failed restore changes nothing");
+        }
     }
 
     #[test]
@@ -782,30 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_rejects_a_line_listed_twice() {
-        // 4 sets x 2 ways; set 0 lists line 4 twice.
-        let mut w = flexsnoop_engine::snap::SnapWriter::new();
-        w.put_u64(2);
-        w.put_usize(4);
-        w.put_usize(2);
-        for stamp in [1, 2] {
-            w.put_u64(4);
-            w.put_u64(stamp);
-            w.put_u64(7);
-        }
-        for _ in 1..4 {
-            w.put_usize(0);
-        }
-        let bytes = w.into_bytes();
-        let mut fresh = small();
-        let mut r = flexsnoop_engine::snap::SnapReader::new(&bytes);
-        let err = fresh
-            .restore_from_with(&mut r, |r| Ok(r.get_u64()? as u32))
-            .unwrap_err();
-        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
-    }
-
-    #[test]
     fn untouched_cache_costs_only_its_heads_and_reuses_freed_ways() {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::from_entries(64, 4));
         let cold = c.footprint_bytes();
@@ -814,9 +823,12 @@ mod tests {
             c.insert(LineAddr(i), i as u32);
         }
         let warm = c.footprint_bytes();
-        assert!(warm > cold);
-        // Every set holds two lines, in a four-way chunk of its own.
+        // Every set holds two lines, in a four-way chunk of its own. On
+        // the way each passed through a one-way chunk: each slab has
+        // segments of 4, 4 and 8 chunks, 16 + 64 ways of 12 bytes.
         assert_eq!([c.slabs[0].len, c.slabs[1].len], [0, 16]);
+        let segments = 2 * 4 * size_of::<Segment<u32>>() as u64;
+        assert_eq!(warm, cold + (16 + 64) * 12 + segments);
         for i in 0..32u64 {
             assert_eq!(c.remove(LineAddr(i)), Some(i as u32));
         }
@@ -828,31 +840,49 @@ mod tests {
     }
 
     #[test]
+    fn a_way_costs_9_bytes_with_a_coherence_state_and_8_without() {
+        let geometry = CacheGeometry::from_entries(16, 8); // 2 sets
+        let mut tags: SetAssocCache<()> = SetAssocCache::new(geometry);
+        let mut states: SetAssocCache<CoherState> = SetAssocCache::new(geometry);
+        let cold = tags.footprint_bytes();
+        assert_eq!(states.footprint_bytes(), cold);
+        for i in 0..4u64 {
+            tags.insert(LineAddr(i), ());
+            states.insert(LineAddr(i), CoherState::S);
+        }
+        // Each set went from a one-way chunk to an eight-way one: each
+        // slab's first segment of four chunks, 4 + 32 ways.
+        let segments = 2 * 4 * size_of::<Segment<()>>() as u64;
+        assert_eq!(tags.footprint_bytes(), cold + 36 * 8 + segments);
+        assert_eq!(states.footprint_bytes(), cold + 36 * 9 + segments);
+    }
+
+    #[test]
     fn a_set_of_two_or_more_lines_sits_in_one_chunk_of_ways() {
         // 4 sets x 4 ways; lines 0, 4, 8 and 12 map to set 0.
         let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::from_entries(16, 4));
         c.insert(LineAddr(0), 0);
-        assert_eq!(c.chunk(0), Some((0, 0)));
+        assert_eq!(c.chunk(0), Some((0, 0, 1)));
         for line in [4, 8, 12] {
             c.insert(LineAddr(line), line as u32);
         }
-        assert_eq!(c.chunk(0), Some((1, 0)));
-        let lines: Vec<u64> = c.slots(0).iter().map(|w| w.line.0).collect();
-        assert_eq!(lines, [0, 4, 8, 12], "insertion order, contiguous");
+        assert_eq!(c.chunk(0), Some((1, 0, 4)));
+        let (lines, _) = c.slabs[1].ways(0, 4, 4);
+        assert_eq!(lines, [0, 4, 8, 12].map(LineAddr), "contiguous");
         assert_eq!(c.slabs[0].len, 0, "set 0 gave up its one-way chunk");
         c.insert(LineAddr(1), 1);
-        assert_eq!(c.chunk(1), Some((0, 0)));
+        assert_eq!(c.chunk(1), Some((0, 0, 1)));
         // Back to one line, set 0 returns to a one-way chunk.
         for line in [0, 4, 8] {
             c.remove(LineAddr(line));
         }
-        assert_eq!(c.chunk(0), Some((0, 1)));
+        assert_eq!(c.chunk(0), Some((0, 1, 1)));
         assert_eq!(c.slabs[1].len, 0);
         // Set 1 empties, and set 0's chunk, the slab's last, takes its
         // place.
         c.remove(LineAddr(1));
         assert_eq!(c.chunk(1), None);
-        assert_eq!(c.chunk(0), Some((0, 0)));
+        assert_eq!(c.chunk(0), Some((0, 0, 1)));
         assert_eq!(c.peek(LineAddr(12)), Some(&12));
         assert_eq!(c.slabs[0].len, 1);
     }
@@ -863,9 +893,9 @@ mod tests {
         let chunks = 4 + 4 + 8 + 16 + 1;
         for c in 0..chunks {
             assert_eq!(slab.push(2), c);
-            slab.chunk_mut(c, 2)[0].value = Some(c as u32);
+            slab.ways_mut(c, 2, 1).1[0] = c as u32;
         }
-        let caps: Vec<usize> = slab.segments.iter().map(Vec::capacity).collect();
+        let caps: Vec<usize> = slab.segments.iter().map(|s| s.lines.capacity()).collect();
         assert_eq!(
             caps,
             [8, 8, 16, 32, 64],
@@ -875,16 +905,39 @@ mod tests {
         // its place; dropping chunk 20 then moves chunk 31 within
         // segment 3.
         assert!(slab.swap_remove(1, 2));
-        assert_eq!(slab.chunk(1, 2)[0].value, Some(32));
+        assert_eq!(slab.ways(1, 2, 1).1, [32]);
         assert!(slab.swap_remove(20, 2));
-        assert_eq!(slab.chunk(20, 2)[0].value, Some(31));
+        assert_eq!(slab.ways(20, 2, 1).1, [31]);
         assert!(!slab.swap_remove(30, 2), "the last chunk moves nowhere");
         assert_eq!(slab.len, 30);
         assert_eq!(slab.capacity(), 2 * 64, "capacity is kept");
     }
 
-    /// The array as it was before the slab: one `Vec` of ways per set,
-    /// kept unchanged as the reference the slab layout must match.
+    #[test]
+    fn a_head_counts_up_to_ways_below_the_chunk_number() {
+        for (ways, shift) in [(1, 1), (2, 2), (4, 3), (8, 4), (16, 5)] {
+            let c: SetAssocCache<()> = SetAssocCache::new(CacheGeometry { sets: 4, ways });
+            assert_eq!(c.shift, shift, "{ways} ways");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a u32 set head")]
+    fn more_sets_than_a_head_can_number_panic() {
+        // 8 ways leave 28 bits for a chunk number: 2^28 sets fit, 2^29 do
+        // not. The check comes before the heads are allocated.
+        SetAssocCache::<()>::new(CacheGeometry {
+            sets: 1 << 29,
+            ways: 8,
+        });
+    }
+
+    /// The array as it was before sets kept recency order: one `Vec` of
+    /// ways per set, each way stamped from the array's clock at its last
+    /// use, the least recently stamped way evicted, and a removed or
+    /// evicted way's place taken by the set's last way. Its replacement
+    /// logic is kept as it was, as the reference the recency order must
+    /// match.
     #[derive(Debug, Clone)]
     struct VecWay<V> {
         line: LineAddr,
@@ -900,7 +953,7 @@ mod tests {
         occupied: usize,
     }
 
-    impl<V> VecSetCache<V> {
+    impl<V: Copy> VecSetCache<V> {
         fn new(geometry: CacheGeometry) -> Self {
             let sets = (0..geometry.sets).map(|_| Vec::new()).collect();
             Self {
@@ -928,11 +981,7 @@ mod tests {
         }
 
         fn get(&mut self, line: LineAddr) -> Option<&V> {
-            let stamp = self.tick();
-            let set = &mut self.sets[self.geometry.set_of(line)];
-            let way = set.iter_mut().find(|w| w.line == line)?;
-            way.last_use = stamp;
-            Some(&way.value)
+            self.get_mut(line).map(|v| &*v)
         }
 
         fn get_mut(&mut self, line: LineAddr) -> Option<&mut V> {
@@ -980,117 +1029,48 @@ mod tests {
             Some(set.swap_remove(idx).value)
         }
 
-        fn iter(&self) -> impl Iterator<Item = (LineAddr, &V)> {
-            self.sets
-                .iter()
-                .flat_map(|set| set.iter().map(|w| (w.line, &w.value)))
+        /// `set`'s ways sorted by stamp, least recently used first.
+        fn by_stamp(&self, set: usize) -> Vec<(LineAddr, V)> {
+            let mut ways = self.sets[set].clone();
+            ways.sort_unstable_by_key(|w| w.last_use);
+            ways.iter().map(|w| (w.line, w.value)).collect()
         }
-
-        fn save_into_with(&self, w: &mut SnapWriter, mut enc: impl FnMut(&V, &mut SnapWriter)) {
-            w.put_u64(self.clock);
-            w.put_usize(self.sets.len());
-            for set in &self.sets {
-                w.put_usize(set.len());
-                for way in set {
-                    w.put_u64(way.line.0);
-                    w.put_u64(way.last_use);
-                    enc(&way.value, w);
-                }
-            }
-        }
-
-        fn restore_from_with(
-            &mut self,
-            r: &mut SnapReader<'_>,
-            mut dec: impl FnMut(&mut SnapReader<'_>) -> Result<V, SnapError>,
-        ) -> Result<(), SnapError> {
-            self.clock = r.get_u64()?;
-            let n_sets = r.get_usize()?;
-            if n_sets != self.geometry.sets {
-                return Err(SnapError::Corrupt("set count does not match geometry"));
-            }
-            self.occupied = 0;
-            for si in 0..n_sets {
-                let len = r.get_usize()?;
-                if len > self.geometry.ways {
-                    return Err(SnapError::Corrupt(
-                        "set holds more ways than geometry allows",
-                    ));
-                }
-                self.sets[si].clear();
-                for _ in 0..len {
-                    let line = LineAddr(r.get_u64()?);
-                    if self.geometry.set_of(line) != si {
-                        return Err(SnapError::Corrupt("line indexed into the wrong set"));
-                    }
-                    let last_use = r.get_u64()?;
-                    let value = dec(r)?;
-                    self.sets[si].push(VecWay {
-                        line,
-                        value,
-                        last_use,
-                    });
-                    self.occupied += 1;
-                }
-            }
-            Ok(())
-        }
-    }
-
-    fn slab_bytes(c: &SetAssocCache<u32>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        c.save_into_with(&mut w, |v, w| w.put_u32(*v));
-        w.into_bytes()
-    }
-
-    fn vec_bytes(c: &VecSetCache<u32>) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        c.save_into_with(&mut w, |v, w| w.put_u32(*v));
-        w.into_bytes()
     }
 
     /// Applies one random operation to both arrays and asserts they
-    /// return the same thing and end in the same observable state.
+    /// return the same thing (victims included), hold as many lines, and
+    /// keep every set's lines in the same recency order.
     fn step_both(
-        rng: &mut flexsnoop_engine::SplitMix64,
+        rng: &mut SplitMix64,
         lines: u64,
-        slab: &mut SetAssocCache<u32>,
-        reference: &mut VecSetCache<u32>,
-    ) {
-        apply_both(rng, lines, slab, reference);
-        assert_eq!(slab_bytes(slab), vec_bytes(reference));
-    }
-
-    /// [`step_both`] short of comparing bytes: equal returns (victims
-    /// included), `len` and `iter()` order.
-    fn apply_both(
-        rng: &mut flexsnoop_engine::SplitMix64,
-        lines: u64,
-        slab: &mut SetAssocCache<u32>,
+        cache: &mut SetAssocCache<u32>,
         reference: &mut VecSetCache<u32>,
     ) {
         let line = LineAddr(rng.next_below(lines));
         let value = rng.next_u64() as u32;
         match rng.next_below(5) {
-            0 => assert_eq!(slab.insert(line, value), reference.insert(line, value)),
-            1 => assert_eq!(slab.get(line), reference.get(line)),
+            0 => assert_eq!(cache.insert(line, value), reference.insert(line, value)),
+            1 => assert_eq!(cache.get(line), reference.get(line)),
             2 => {
-                let (a, b) = (slab.get_mut(line), reference.get_mut(line));
+                let (a, b) = (cache.get_mut(line), reference.get_mut(line));
                 assert_eq!(a, b);
                 if let (Some(a), Some(b)) = (a, b) {
                     *a = value;
                     *b = value;
                 }
             }
-            3 => assert_eq!(slab.peek(line), reference.peek(line)),
-            _ => assert_eq!(slab.remove(line), reference.remove(line)),
+            3 => assert_eq!(cache.peek(line), reference.peek(line)),
+            _ => assert_eq!(cache.remove(line), reference.remove(line)),
         }
-        assert_eq!(slab.len(), reference.len());
-        assert!(slab.iter().eq(reference.iter()));
+        assert_eq!(cache.len(), reference.len());
+        for set in 0..cache.geometry().sets {
+            let ways: Vec<(LineAddr, u32)> = cache.iter_set(set).map(|(l, &v)| (l, v)).collect();
+            assert_eq!(ways, reference.by_stamp(set), "set {set}");
+        }
     }
 
     #[test]
-    fn slab_matches_the_per_set_vec_reference() {
+    fn recency_order_matches_the_stamped_reference() {
         // 64 sets fill several segments of each slab.
         for (sets, ways) in [1, 2, 4, 8]
             .map(|w| (4, w))
@@ -1102,124 +1082,16 @@ mod tests {
                 // Twice the capacity in distinct lines: sets fill, evict,
                 // and lose first, middle and last ways to `remove`.
                 let lines = 2 * geometry.entries() as u64;
-                let mut rng = flexsnoop_engine::SplitMix64::new(seed * 31 + ways as u64);
-                let mut slab = SetAssocCache::new(geometry);
+                let mut rng = SplitMix64::new(seed * 31 + ways as u64);
+                let mut cache = SetAssocCache::new(geometry);
                 let mut reference = VecSetCache::new(geometry);
                 for _ in 0..2_000 {
-                    step_both(&mut rng, lines, &mut slab, &mut reference);
+                    step_both(&mut rng, lines, &mut cache, &mut reference);
                 }
-
-                // Restore each array's bytes into the other kind; the
-                // crossed pair must keep agreeing.
-                let mut slab_from_vec = SetAssocCache::new(geometry);
-                let bytes = vec_bytes(&reference);
-                let mut r = SnapReader::new(&bytes);
-                slab_from_vec
-                    .restore_from_with(&mut r, |r| r.get_u32())
-                    .unwrap();
-                r.expect_eof().unwrap();
-                let mut vec_from_slab = VecSetCache::new(geometry);
-                let bytes = slab_bytes(&slab);
-                let mut r = SnapReader::new(&bytes);
-                vec_from_slab
-                    .restore_from_with(&mut r, |r| r.get_u32())
-                    .unwrap();
-                r.expect_eof().unwrap();
+                // A restored array goes on in step with the reference.
+                let mut restored = round_trip(&cache);
                 for _ in 0..100 {
-                    step_both(&mut rng, lines, &mut slab_from_vec, &mut vec_from_slab);
-                }
-            }
-        }
-    }
-
-    /// A reference array of `geometry` after `ops` random operations.
-    fn churned(geometry: CacheGeometry, seed: u64, ops: usize) -> VecSetCache<u32> {
-        let lines = 2 * geometry.entries() as u64;
-        let mut rng = flexsnoop_engine::SplitMix64::new(seed);
-        let mut slab = SetAssocCache::new(geometry);
-        let mut reference = VecSetCache::new(geometry);
-        for _ in 0..ops {
-            step_both(&mut rng, lines, &mut slab, &mut reference);
-        }
-        reference
-    }
-
-    /// The bytes `reference` would write had its clock, and every stamp
-    /// with it, been moved on to `clock`: those of an array that took
-    /// that many more LRU updates before reaching the same state.
-    fn shifted_bytes(reference: &VecSetCache<u32>, clock: u64) -> Vec<u8> {
-        let mut shifted = reference.clone();
-        let by = clock - reference.clock;
-        shifted.clock = clock;
-        for way in shifted.sets.iter_mut().flatten() {
-            way.last_use += by;
-        }
-        vec_bytes(&shifted)
-    }
-
-    /// Restores `bytes` into a fresh array and a fresh reference.
-    fn restore_pair(
-        geometry: CacheGeometry,
-        bytes: &[u8],
-    ) -> (SetAssocCache<u32>, VecSetCache<u32>) {
-        let mut slab = SetAssocCache::new(geometry);
-        let mut r = SnapReader::new(bytes);
-        slab.restore_from_with(&mut r, |r| r.get_u32()).unwrap();
-        r.expect_eof().unwrap();
-        let mut reference = VecSetCache::new(geometry);
-        let mut r = SnapReader::new(bytes);
-        reference
-            .restore_from_with(&mut r, |r| r.get_u32())
-            .unwrap();
-        (slab, reference)
-    }
-
-    const WRAP_GEOMETRIES: [(usize, usize); 5] = [(4, 1), (4, 2), (4, 8), (64, 2), (64, 8)];
-
-    #[test]
-    fn stamps_renumber_when_the_clock_wraps() {
-        for (sets, ways) in WRAP_GEOMETRIES {
-            for seed in 0..4u64 {
-                let geometry = CacheGeometry { sets, ways };
-                let lines = 2 * geometry.entries() as u64;
-                let warm = churned(geometry, seed * 7 + ways as u64, 1_000);
-                // Eight LRU updates before the 32-bit clock would wrap;
-                // the reference's `u64` clock runs on past it.
-                let bytes = shifted_bytes(&warm, (1 << 32) - 8);
-                let (mut slab, mut reference) = restore_pair(geometry, &bytes);
-                let mut rng = flexsnoop_engine::SplitMix64::new(seed);
-                for _ in 0..2_000 {
-                    apply_both(&mut rng, lines, &mut slab, &mut reference);
-                    if reference.clock <= u64::from(u32::MAX) {
-                        assert_eq!(slab_bytes(&slab), vec_bytes(&reference));
-                    }
-                }
-                assert!(reference.clock > u64::from(u32::MAX), "the clock wrapped");
-                assert!(
-                    u64::from(slab.clock) < 2_000 + ways as u64,
-                    "the clock restarted at `ways`"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stamps_of_2_pow_32_or_more_restore_renumbered() {
-        for (sets, ways) in WRAP_GEOMETRIES {
-            for seed in 0..4u64 {
-                let geometry = CacheGeometry { sets, ways };
-                let lines = 2 * geometry.entries() as u64;
-                let warm = churned(geometry, seed * 7 + ways as u64, 1_000);
-                // Every stamp past 2^32, then only the newest ones: sets
-                // whose stamps all fit are renumbered too.
-                for clock in [1 << 40, (1 << 32) + 300] {
-                    let bytes = shifted_bytes(&warm, clock);
-                    let (mut slab, mut reference) = restore_pair(geometry, &bytes);
-                    assert_eq!(slab.clock as usize, ways, "the clock restarts at `ways`");
-                    let mut rng = flexsnoop_engine::SplitMix64::new(seed);
-                    for _ in 0..1_000 {
-                        apply_both(&mut rng, lines, &mut slab, &mut reference);
-                    }
+                    step_both(&mut rng, lines, &mut restored, &mut reference);
                 }
             }
         }

@@ -11,7 +11,7 @@
 //!   a *supplier state* (`SG, E, D, T`)? All L2s are probed in parallel.
 
 use flexsnoop_engine::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
-use flexsnoop_engine::FxHashMap;
+use flexsnoop_engine::{map_heap_bytes, FxHashMap};
 
 use crate::addr::LineAddr;
 use crate::cache::{save_fresh, CacheGeometry, SetAssocCache};
@@ -90,11 +90,11 @@ struct Residency {
 /// every snoop).
 ///
 /// The per-core arrays are allocated at the CMP's first
-/// [`local_lookup`](Self::local_lookup), [`fill`](Self::fill) or
-/// [`set_state`](Self::set_state). Until then the CMP is *idle*: it holds
-/// no line, every other method answers from the empty index, and a
-/// snapshot writes the bytes of fresh arrays. On a million-node ring,
-/// where only the requesters' CMPs are ever accessed and every other CMP
+/// [`fill`](Self::fill) or [`set_state`](Self::set_state). Until then the
+/// CMP is *idle*: it holds no line, every other method answers from the
+/// empty index (a [`local_lookup`](Self::local_lookup) misses), and a
+/// snapshot writes the bytes of empty arrays. On a million-node ring,
+/// where only the requesters' CMPs ever fill a line and every other CMP
 /// is only snooped, an idle CMP costs its struct alone.
 #[derive(Debug, Clone)]
 pub struct CmpCaches {
@@ -138,10 +138,9 @@ impl CmpCaches {
         self.l2s.is_empty()
     }
 
-    /// Allocates the per-core arrays if the CMP is idle. Every method that
-    /// can tick an LRU clock calls this first: a `local_lookup` that
-    /// misses still ticks its L2's clock, so allocating only at the first
-    /// fill would shift every later stamp.
+    /// Allocates the per-core arrays if the CMP is idle. Only `fill` and
+    /// `set_state` call this: a lookup that misses changes no array, so
+    /// an idle CMP answers it as its empty arrays would.
     #[inline]
     fn activate(&mut self) {
         if self.is_idle() {
@@ -193,8 +192,9 @@ impl CmpCaches {
         }
         if state.supplies_locally() {
             // A correct protocol never has two locally-supplying copies in
-            // one CMP; last-writer-wins here so [`validate_line`] (not the
-            // index) stays the detector for injected protocol bugs.
+            // one CMP; last-writer-wins here so the storage-invariant
+            // checks (`invariants::check_line`, not the index) stay the
+            // detector for injected protocol bugs.
             entry.local = Some((core as u8, state));
         }
     }
@@ -243,7 +243,9 @@ impl CmpCaches {
     /// The L1 tag filter is refreshed on L1 hits and filled on L2 hits
     /// (inclusive hierarchy: the L1 never holds a line its L2 does not).
     pub fn local_lookup(&mut self, core: usize, line: LineAddr) -> LocalLookup {
-        self.activate();
+        if self.is_idle() {
+            return LocalLookup::Miss;
+        }
         let own_state = self.l2s[core].access(line);
         if own_state.is_valid() {
             if self.l1s[core].get(line).is_some() {
@@ -396,33 +398,13 @@ impl CmpCaches {
     pub fn footprint_bytes(&self) -> u64 {
         let l1s: u64 = self.l1s.iter().map(SetAssocCache::footprint_bytes).sum();
         let l2s: u64 = self.l2s.iter().map(L2Cache::footprint_bytes).sum();
-        let index = self.index.capacity() * (size_of::<(LineAddr, Residency)>() + 16);
-        size_of::<Self>() as u64 + l1s + l2s + index as u64
-    }
-
-    /// Debug check: the per-CMP storage invariants from Figure 2(b) —
-    /// at most one supplier-state copy and at most one local master.
-    pub fn validate_line(&self, line: LineAddr) -> Result<(), String> {
-        let states: Vec<CoherState> = self
-            .l2s
-            .iter()
-            .map(|l2| l2.state_of(line))
-            .filter(|s| s.is_valid())
-            .collect();
-        for (i, &a) in states.iter().enumerate() {
-            for &b in &states[i + 1..] {
-                if !a.compatible_with(b, true) {
-                    return Err(format!("{line}: states {a} and {b} coexist in one CMP"));
-                }
-            }
-        }
-        Ok(())
+        size_of::<Self>() as u64 + l1s + l2s + map_heap_bytes(&self.index)
     }
 }
 
 /// Serializes every L1 tag filter and every L2; an idle CMP writes the
-/// bytes of fresh arrays, and restoring bytes in which every array is
-/// fresh leaves the CMP idle. The residency index is not stored: restore
+/// bytes of empty arrays, and restoring bytes in which no array holds a
+/// line leaves the CMP idle. The residency index is not stored: restore
 /// rebuilds it from the restored L2 arrays, core by core, through the same
 /// update every fill makes. A legal CMP holds at most one
 /// locally-supplying copy of a line (Figure 2(b)), so the rebuilt index
@@ -453,8 +435,8 @@ impl Snapshot for CmpCaches {
         if cores != self.cores {
             return Err(SnapError::Corrupt("CMP core count does not match config"));
         }
-        // Fresh arrays restore as nothing; the first array that holds
-        // state allocates them all, as the CMP's first access would.
+        // Empty arrays restore as nothing; the first array that holds a
+        // line allocates them all, as the CMP's first fill would.
         (self.l1s, self.l2s, self.index) = Default::default();
         for core in 0..cores {
             if let Some(l1) = SetAssocCache::restore_new(self.l1_geometry, r, |_| Ok(()))? {
@@ -621,40 +603,11 @@ mod tests {
         assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
     }
 
-    #[test]
-    fn validate_line_catches_two_suppliers() {
-        let mut c = cmp();
-        c.fill(0, LineAddr(3), E);
-        c.fill(1, LineAddr(3), D); // protocol bug injected on purpose
-        assert!(c.validate_line(LineAddr(3)).is_err());
-    }
-
-    #[test]
-    fn validate_line_accepts_legal_mix() {
-        let mut c = cmp();
-        c.fill(0, LineAddr(3), Sg);
-        c.fill(1, LineAddr(3), S);
-        assert!(c.validate_line(LineAddr(3)).is_ok());
-    }
-
-    /// Bytes of a CMP of [`cmp`]'s shape, built from the arrays it would
-    /// hold if allocated at construction; `l2_clock` gives each L2's LRU
-    /// clock as a count of missing accesses.
-    fn eager_bytes(l2_clock: [usize; 4]) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_usize(4);
-        for _ in 0..4 {
-            SetAssocCache::<()>::new(CacheGeometry::from_entries(4, 2))
-                .save_into_with(&mut w, |_, _| {});
-        }
-        for misses in l2_clock {
-            let mut l2 = L2Cache::new(CacheGeometry::from_entries(16, 4));
-            for _ in 0..misses {
-                l2.access(LineAddr(1));
-            }
-            l2.save_into(&mut w);
-        }
-        w.into_bytes()
+    /// The bytes of a CMP of [`cmp`]'s shape with its arrays allocated.
+    fn eager_bytes() -> Vec<u8> {
+        let mut eager = cmp();
+        eager.activate();
+        bytes_of(&eager)
     }
 
     fn bytes_of(c: &CmpCaches) -> Vec<u8> {
@@ -686,8 +639,8 @@ mod tests {
             assert_eq!(c.supplier_of(line), None);
             assert!(!c.has_copy(line));
             assert_eq!(c.invalidate_all(line).copies, 0);
-            assert!(c.validate_line(line).is_ok());
             for core in 0..4 {
+                assert_eq!(c.local_lookup(core, line), LocalLookup::Miss);
                 assert_eq!(c.state_of(core, line), I);
                 assert_eq!(c.l2_lines(core).count(), 0);
             }
@@ -696,47 +649,54 @@ mod tests {
         assert_eq!(c.l2_set(0).count(), 0);
         assert!(c.is_idle());
         assert_eq!(c.footprint_bytes(), size_of::<CmpCaches>() as u64);
-        c.local_lookup(2, LineAddr(1));
+        c.fill(2, LineAddr(1), E);
         assert!(!c.is_idle());
         assert!(c.footprint_bytes() > size_of::<CmpCaches>() as u64);
     }
 
     #[test]
-    fn an_idle_cmp_saves_the_bytes_of_fresh_arrays() {
-        assert_eq!(bytes_of(&cmp()), eager_bytes([0; 4]));
+    fn an_idle_cmp_saves_the_bytes_of_empty_arrays() {
+        assert_eq!(bytes_of(&cmp()), eager_bytes());
     }
 
     #[test]
-    fn fresh_arrays_restore_idle_and_a_ticked_clock_allocates() {
-        let idle = restored(&eager_bytes([0; 4]));
+    fn emptied_arrays_restore_idle_and_a_line_allocates() {
+        let idle = restored(&eager_bytes());
         assert!(idle.is_idle());
         assert_eq!(idle.footprint_bytes(), size_of::<CmpCaches>() as u64);
-        // One L2 has taken a miss: no line, but a clock of 1.
-        let bytes = eager_bytes([0, 0, 1, 0]);
-        let ticked = restored(&bytes);
-        assert!(!ticked.is_idle());
-        assert_eq!(bytes_of(&ticked), bytes);
+        // Arrays that held lines and lost them all write what empty ones
+        // do.
+        let mut emptied = cmp();
+        emptied.fill(1, LineAddr(3), D);
+        emptied.fill(2, LineAddr(7), S);
+        emptied.invalidate_all(LineAddr(3));
+        emptied.invalidate_all(LineAddr(7));
+        assert!(!emptied.is_idle());
+        assert_eq!(bytes_of(&emptied), eager_bytes());
+        assert!(restored(&bytes_of(&emptied)).is_idle());
+        // One line in one L2 allocates every array.
+        emptied.fill(3, LineAddr(5), E);
+        let bytes = bytes_of(&emptied);
+        let one_line = restored(&bytes);
+        assert!(!one_line.is_idle());
+        assert_eq!(bytes_of(&one_line), bytes);
     }
 
     #[test]
-    fn allocating_at_the_first_lookup_keeps_the_eager_stamps() {
+    fn allocating_at_the_first_fill_matches_eager_arrays() {
         let mut lazy = cmp();
         let mut eager = cmp();
         eager.activate();
         for c in [&mut lazy, &mut eager] {
             assert_eq!(c.local_lookup(1, LineAddr(5)), LocalLookup::Miss);
+        }
+        assert!(lazy.is_idle(), "a missing lookup allocates nothing");
+        assert_eq!(bytes_of(&lazy), bytes_of(&eager));
+        for c in [&mut lazy, &mut eager] {
             c.fill(1, LineAddr(5), E);
+            c.fill(1, LineAddr(9), S);
+            assert_eq!(c.local_lookup(1, LineAddr(5)), LocalLookup::OwnL1(E));
         }
         assert_eq!(bytes_of(&lazy), bytes_of(&eager));
-        // The lookup ticked the L2's clock before the fill.
-        let mut l2 = L2Cache::new(CacheGeometry::from_entries(16, 4));
-        l2.access(LineAddr(5));
-        l2.fill(LineAddr(5), E);
-        let mut w = SnapWriter::new();
-        l2.save_into(&mut w);
-        let one_l2 = w.into_bytes();
-        assert!(bytes_of(&lazy)
-            .windows(one_l2.len())
-            .any(|bytes| bytes == one_l2));
     }
 }

@@ -184,13 +184,17 @@ mod tests {
 
     #[test]
     fn two_suppliers_are_named() {
-        let mut m = machine();
-        m[0].fill(0, LineAddr(2), E);
-        m[1].fill(0, LineAddr(2), D);
-        let err = check_line(&m, LineAddr(2)).unwrap_err();
-        assert!(err.contains("2 supplier-state copies"), "{err}");
-        assert!(err.contains("E@cmp0/core0"), "{err}");
-        assert!(err.contains("D@cmp1/core0"), "{err}");
+        // The second supplier in another CMP, then in the same CMP.
+        for (cmp, core, second) in [(1, 0, "D@cmp1/core0"), (0, 1, "D@cmp0/core1")] {
+            let mut m = machine();
+            m[0].fill(0, LineAddr(2), E);
+            m[cmp].fill(core, LineAddr(2), D);
+            let err = check_line(&m, LineAddr(2)).unwrap_err();
+            assert!(err.contains("2 supplier-state copies"), "{err}");
+            assert!(err.contains("E@cmp0/core0"), "{err}");
+            assert!(err.contains(second), "{err}");
+            assert_eq!(check_all(&m), Err(err));
+        }
     }
 
     #[test]

@@ -144,9 +144,9 @@ fn decode_state(r: &mut SnapReader<'_>) -> Result<CoherState, SnapError> {
     Ok(s)
 }
 
-/// Serializes the underlying array (way order, LRU stamps, per-line
-/// coherence states); geometry is reconstructed from configuration per the
-/// overlay contract.
+/// Serializes the underlying array (each set's lines in recency order,
+/// with their coherence states); geometry is reconstructed from
+/// configuration per the overlay contract.
 impl Snapshot for L2Cache {
     fn save_into(&self, w: &mut SnapWriter) {
         self.array.save_into_with(w, |s, w| s.save_into(w));

@@ -17,7 +17,7 @@
 //!
 //! The flat Subset layout is **bit-identical** to per-node tables: each
 //! flat set is touched by exactly one node, so LRU victim selection — which
-//! only compares stamps *within* a set — orders entries exactly as the
+//! only orders the ways *within* a set — orders entries exactly as the
 //! per-node table would. The equivalence property test at the bottom of
 //! this file pins that down against randomized op streams.
 

@@ -22,9 +22,11 @@ use crate::names::{parse_algorithm, parse_predictor, parse_workload};
 /// Also bumped when a stored value's meaning changes: version 3's probe
 /// footprints count the event queue, version 4's count its smaller
 /// fixed arrays (one wheel, no second level), version 5's count
-/// set-associative arrays as one way slab and a `u32` head per set, and
-/// version 6's count 16-byte ways and no arrays for a CMP never accessed.
-const JOB_OUTPUT_VERSION: u32 = 6;
+/// set-associative arrays as one way slab and a `u32` head per set,
+/// version 6's count 16-byte ways and no arrays for a CMP never accessed,
+/// and version 7's count 9- and 8-byte ways, no arrays for a CMP that
+/// never filled a line, and hash maps as their SwissTable allocation.
+const JOB_OUTPUT_VERSION: u32 = 7;
 
 /// One simulation run, described by names rather than types.
 ///

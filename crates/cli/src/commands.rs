@@ -751,6 +751,22 @@ mod tests {
     }
 
     #[test]
+    fn replay_refuses_a_cmp_of_more_than_255_cores() {
+        // 256 cores on one node would put 256 cores in one CMP.
+        let dir = std::env::temp_dir().join("flexsnoop-cli-wide-cmp-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.txt");
+        std::fs::write(&path, "0 r 0x1 0\n255 w 0x2 0\n").unwrap();
+        let mut args = base_args();
+        args.trace = path.to_string_lossy().to_string();
+        args.nodes = 1;
+        assert_eq!(
+            replay(&args).unwrap_err(),
+            "a CMP holds at most 255 cores, not 256"
+        );
+    }
+
+    #[test]
     fn checkpoint_save_then_resume_matches_uninterrupted_run() {
         let dir = std::env::temp_dir().join("flexsnoop-cli-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();

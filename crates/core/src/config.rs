@@ -7,6 +7,7 @@
 //! trips. All cycle counts are 6 GHz processor cycles.
 
 use flexsnoop_engine::Cycles;
+use flexsnoop_mem::CmpCaches;
 use flexsnoop_net::HierParams;
 
 /// Cache geometry parameters.
@@ -380,6 +381,13 @@ impl MachineConfig {
         if self.cores_per_cmp == 0 {
             return Err("each CMP needs at least one core".into());
         }
+        if self.cores_per_cmp > CmpCaches::MAX_CORES {
+            return Err(format!(
+                "a CMP holds at most {} cores, not {}",
+                CmpCaches::MAX_CORES,
+                self.cores_per_cmp
+            ));
+        }
         if !self.caches.line_bytes.is_power_of_two() {
             return Err("line size must be a power of two".into());
         }
@@ -506,6 +514,15 @@ mod tests {
             ..MachineConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn a_cmp_holds_at_most_255_cores() {
+        assert!(MachineConfig::isca2006(255).validate().is_ok());
+        assert_eq!(
+            MachineConfig::isca2006(256).validate(),
+            Err("a CMP holds at most 255 cores, not 256".into())
+        );
     }
 
     #[test]

@@ -132,7 +132,6 @@ impl Simulator {
         save_all(&self.cmps, &mut w);
         self.predictors.save_into(&mut w);
         save_all(&self.presence, &mut w);
-        w.put_u64(self.write_snoops_filtered);
         self.ring.save_into(&mut w);
         self.torus.save_into(&mut w);
         save_all(&self.snoop_ports, &mut w);
@@ -230,8 +229,7 @@ impl Simulator {
     /// [`set_fault_plan`](Self::set_fault_plan) *before* restoring.
     /// The queue backend is a free choice: events are re-pushed in their
     /// saved pop order, which either backend pops back identically.
-    /// Derived state is rebuilt at the end, not decoded (see
-    /// [`rederive`](Self::rederive)).
+    /// Derived state is rebuilt at the end, not decoded (DESIGN.md §10).
     ///
     /// # Errors
     ///
@@ -259,7 +257,6 @@ impl Simulator {
         self.predictors.restore_from(&mut r)?;
         let what = "presence-filter count does not match config";
         restore_all(&mut self.presence, &mut r, what)?;
-        self.write_snoops_filtered = r.get_u64()?;
         self.ring.restore_from(&mut r)?;
         self.torus.restore_from(&mut r)?;
         let what = "snoop-port count does not match config";
@@ -830,11 +827,14 @@ mod tests {
                 let profile = specjbb();
                 let mut machine = MachineConfig::for_cores(profile.cores, 8, None).unwrap();
                 machine.policy.write_filtering = true;
-                Simulator::for_profile(&profile, machine, Algorithm::SupersetCon, None, SEED)
-                    .unwrap()
+                let mut sim =
+                    Simulator::for_profile(&profile, machine, Algorithm::SupersetCon, None, SEED)
+                        .unwrap();
+                sim.enable_probe();
+                sim
             },
             2_000,
-            |sim| sim.write_snoops_filtered > 0 && !sim.txns.is_empty(),
+            |sim| sim.probe_report().unwrap().write_filter_hits > 0 && !sim.txns.is_empty(),
         );
         assert_restore_rebuilds(
             "subset 4x4 bridge drops",

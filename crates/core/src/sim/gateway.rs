@@ -524,7 +524,6 @@ impl Simulator {
                     }
                     if absent {
                         debug_assert!(!self.cmps[node.0].has_copy(msg.line));
-                        self.write_snoops_filtered += 1;
                         // Unlike a read Forward, the reply is not marked
                         // filtered: the node provably holds no copy.
                         if msg.kind == MsgKind::Request {

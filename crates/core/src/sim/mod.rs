@@ -268,7 +268,6 @@ pub struct Simulator {
     /// "definitely absent" answer makes skipping a write invalidation
     /// safe (§5.3 extension).
     presence: Vec<BloomFilter>,
-    write_snoops_filtered: u64,
     ring: RingNetwork,
     torus: Torus,
     /// One shared intra-CMP bus per node: ring snoops and local
@@ -498,7 +497,6 @@ impl Simulator {
             predictors,
             locality,
             presence,
-            write_snoops_filtered: 0,
             ring,
             torus,
             snoop_ports: (0..machine.nodes).map(|_| Resource::new()).collect(),
@@ -715,12 +713,6 @@ impl Simulator {
     /// [`enable_probe`](Self::enable_probe), if that is the run's probe.
     pub fn probe_report(&self) -> Option<ProbeReport> {
         self.probe::<CountingProbe>().map(|p| p.snapshot().clone())
-    }
-
-    /// Write-snoop invalidations skipped by the presence filter (only
-    /// non-zero when `policy.write_filtering` is on).
-    pub fn write_snoops_filtered(&self) -> u64 {
-        self.write_snoops_filtered
     }
 
     /// Ring transactions still in flight (non-zero after

@@ -55,6 +55,9 @@ fn run_script(
         limit.max(1),
     )
     .expect("valid scenario");
+    // A counting probe observes without steering, so scripts can read
+    // its report (write-filter hits, for one).
+    sim.enable_probe();
     let stats = sim.run();
     sim.validate_coherence().expect("coherent final state");
     (sim, stats)
@@ -703,11 +706,8 @@ fn write_filtering_skips_copyless_nodes() {
         &[&[(100, WR)]],
         |m| m.policy.write_filtering = true,
     );
-    assert!(
-        sim.write_snoops_filtered() >= 5,
-        "filtered only {}",
-        sim.write_snoops_filtered()
-    );
+    let filtered = sim.probe_report().unwrap().write_filter_hits;
+    assert!(filtered >= 5, "filtered only {filtered}");
     assert!(stats.write_snoops <= 2, "snooped {}", stats.write_snoops);
 }
 
@@ -764,9 +764,10 @@ fn write_filtering_preserves_results_on_full_workload() {
             1_000,
         )
         .unwrap();
+        sim.enable_probe();
         let stats = sim.run();
         sim.validate_coherence().expect("coherent");
-        (stats, sim.write_snoops_filtered())
+        (stats, sim.probe_report().unwrap().write_filter_hits)
     };
     let (base, base_filtered) = run(false);
     let (filt, filt_filtered) = run(true);
@@ -984,12 +985,11 @@ fn probe_observes_write_filtering() {
     )
     .expect("valid scenario");
     sim.enable_probe();
-    let _ = sim.run();
+    let stats = sim.run();
     let report = sim.probe_report().unwrap();
     assert_eq!(
-        report.write_filter_hits,
-        sim.write_snoops_filtered(),
-        "probe and simulator agree on elided write snoops"
+        report.write_filter_misses, stats.write_snoops,
+        "every node the filter could not clear snooped the write"
     );
     assert!(
         report.write_filter_hits > 0,
@@ -1097,6 +1097,33 @@ fn probation_script() -> (&'static [&'static [(u64, bool)]], crate::FaultPlan) {
     plan.drop = 1.0;
     plan.budget = 4;
     (script, plan)
+}
+
+#[test]
+fn a_faulted_flit_is_still_a_ring_hop() {
+    // `send_ring` is the one place a ring hop is counted: a flit the
+    // fault plan drops or duplicates crossed (or occupied) its link all
+    // the same. One read on the 8-node Lazy ring circulates 8 hops.
+    let script: &[&[(u64, bool)]] = &[&[(100, RD)]];
+    let (_, lossless) = run1(Algorithm::Lazy, script);
+    assert_eq!(lossless.read_ring_hops, 8);
+
+    let mut duplicate = crate::FaultPlan::lossless();
+    duplicate.duplicate = 1.0;
+    duplicate.budget = 1;
+    let (_, stats) = run_faulted_script(Algorithm::Lazy, script, duplicate, |_| {});
+    assert_eq!(stats.read_ring_hops, 9, "the copy is a hop too");
+    assert_eq!(stats.robustness.duplicates_suppressed, 1);
+
+    let mut drop = crate::FaultPlan::lossless();
+    drop.drop = 1.0;
+    drop.budget = 1;
+    let (_, stats) = run_faulted_script(Algorithm::Lazy, script, drop, |_| {});
+    assert_eq!(
+        stats.read_ring_hops, 9,
+        "the dropped hop, then a full retry"
+    );
+    assert_eq!(stats.retry_ring_hops, 8);
 }
 
 #[test]

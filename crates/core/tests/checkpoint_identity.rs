@@ -107,7 +107,8 @@ fn resume_matches_uninterrupted_run_across_backends_and_widths() {
     }
 }
 
-/// SupersetCon with the §5.3 presence filter skipping write snoops.
+/// SupersetCon with the §5.3 presence filter skipping write snoops; a
+/// counting probe reports the snoops it skipped.
 fn write_filtered() -> Simulator {
     let profile = workload();
     let mut machine = MachineConfig::isca2006(profile.cores / 8);
@@ -119,7 +120,7 @@ fn write_filtered() -> Simulator {
         .into_iter()
         .map(|s| Box::new(s) as Box<dyn AccessStream + Send>)
         .collect();
-    Simulator::new(
+    let mut sim = Simulator::new(
         machine,
         algorithm,
         predictor,
@@ -127,7 +128,9 @@ fn write_filtered() -> Simulator {
         streams,
         ACCESSES,
     )
-    .expect("workload configures")
+    .expect("workload configures");
+    sim.enable_probe();
+    sim
 }
 
 /// A lossy flat ring whose torus data legs also drop, recovery on.
@@ -206,64 +209,64 @@ fn snapshot_bytes_match_the_pinned_digests() {
             name: "superset-agg",
             build: || fresh(Algorithm::SupersetAgg),
             ran: |_, _| true,
-            snapshot_digest: 0xa43d_091d_d312_66b8,
-            snapshot_len: 142_103,
+            snapshot_digest: 0xfd13_2b25_792c_a2b7,
+            snapshot_len: 141_047,
             stats_digest: 0x5d54_4dc0_a5e6_caa4,
         },
         Pinned {
             name: "lazy",
             build: || fresh(Algorithm::Lazy),
             ran: |_, _| true,
-            snapshot_digest: 0xc5d4_faad_c11d_f6ed,
-            snapshot_len: 87_684,
+            snapshot_digest: 0x9434_21eb_1eab_bcee,
+            snapshot_len: 86_628,
             stats_digest: 0xd89c_45fd_52bc_e5c8,
         },
         Pinned {
             name: "superset-con write filtering",
             build: write_filtered,
-            ran: |sim, _| sim.write_snoops_filtered() > 0,
-            snapshot_digest: 0xbd62_4f71_980f_d4bb,
-            snapshot_len: 179_162,
+            ran: |sim, _| sim.probe_report().unwrap().write_filter_hits > 0,
+            snapshot_digest: 0x76fc_a638_c677_71a7,
+            snapshot_len: 178_106,
             stats_digest: 0x58c8_bee1_6d35_bf41,
         },
         Pinned {
             name: "torus-lossy flat ring",
             build: torus_lossy,
             ran: |_, s| s.robustness.torus_drops > 0,
-            snapshot_digest: 0x1c44_02c2_c830_c1a2,
-            snapshot_len: 142_573,
+            snapshot_digest: 0x7a4c_f148_3d82_017d,
+            snapshot_len: 141_477,
             stats_digest: 0xfa39_7bbd_7ed7_83fc,
         },
         Pinned {
             name: "lazy cold and warm churn",
             build: churned,
             ran: |_, s| s.robustness.churn_detaches == 2,
-            snapshot_digest: 0x0bec_aace_1c82_5f2d,
-            snapshot_len: 88_692,
+            snapshot_digest: 0xf218_0231_f802_ac57,
+            snapshot_len: 87_636,
             stats_digest: 0x2788_82e7_c2ed_19e8,
         },
         Pinned {
             name: "subset 4x4 bridge drops",
             build: hier_lossy,
             ran: |_, s| s.escalations > 0,
-            snapshot_digest: 0xc389_1522_2530_e419,
-            snapshot_len: 222_069,
+            snapshot_digest: 0x2164_60c0_aa43_fcae,
+            snapshot_len: 219_829,
             stats_digest: 0x25fd_359c_b216_80fc,
         },
         Pinned {
             name: "exact",
             build: exact_pressured,
             ran: |_, s| s.downgrades > 0 && s.downgrade_rereads > 0,
-            snapshot_digest: 0x2317_28d9_2bc4_c1cd,
-            snapshot_len: 92_340,
+            snapshot_digest: 0x29c0_46bd_6ee0_77a1,
+            snapshot_len: 91_284,
             stats_digest: 0xbdb8_2281_59c0_5e78,
         },
         Pinned {
             name: "barnes superset-agg",
             build: barnes,
             ran: |_, s| s.local_peer_hits > 0,
-            snapshot_digest: 0x7d3d_f52d_1573_e7ed,
-            snapshot_len: 404_146,
+            snapshot_digest: 0x5f63_f03f_20b6_931a,
+            snapshot_len: 403_090,
             stats_digest: 0x0743_aeff_b5a7_5a7b,
         },
     ];

@@ -5,7 +5,8 @@
 //! at a time in arrival order, each holding the resource for a fixed service
 //! time. [`Resource`] captures that pattern: callers ask "if I arrive at
 //! cycle T needing S cycles of service, when do I start and finish?" and the
-//! resource answers while recording the occupancy.
+//! resource answers. The only state it keeps is the cycle it is next free;
+//! traffic counts belong to the layer that reads them (`RunStats`).
 
 use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::{Cycle, Cycles};
@@ -28,9 +29,11 @@ use crate::time::{Cycle, Cycles};
 #[derive(Debug, Clone, Default)]
 pub struct Resource {
     next_free: Cycle,
-    busy: Cycles,
-    grants: u64,
 }
+
+// Every ring link, torus link and port is one of these: a million-node
+// ring holds millions, so the struct stays one cycle wide.
+const _: () = assert!(size_of::<Resource>() == 8);
 
 /// The time window granted to one request by [`Resource::acquire`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,13 +42,6 @@ pub struct Grant {
     pub start: Cycle,
     /// When service completes.
     pub end: Cycle,
-}
-
-impl Grant {
-    /// Time spent waiting for the resource before service began.
-    pub fn queueing_delay(&self, arrival: Cycle) -> Cycles {
-        self.start - arrival
-    }
 }
 
 impl Resource {
@@ -60,38 +56,17 @@ impl Resource {
         let start = arrival.max(self.next_free);
         let end = start + service;
         self.next_free = end;
-        self.busy += service;
-        self.grants += 1;
         Grant { start, end }
-    }
-
-    /// The earliest time a new arrival could begin service.
-    pub fn next_free(&self) -> Cycle {
-        self.next_free
-    }
-
-    /// Total cycles of service granted so far (utilization numerator).
-    pub fn busy_cycles(&self) -> Cycles {
-        self.busy
-    }
-
-    /// Number of grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
     }
 }
 
 impl Snapshot for Resource {
     fn save_into(&self, w: &mut SnapWriter) {
         w.put_cycle(self.next_free);
-        w.put_cycles(self.busy);
-        w.put_u64(self.grants);
     }
 
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.next_free = r.get_cycle()?;
-        self.busy = r.get_cycles()?;
-        self.grants = r.get_u64()?;
         Ok(())
     }
 }
@@ -106,7 +81,6 @@ mod tests {
         let g = r.acquire(Cycle::new(100), Cycles(7));
         assert_eq!(g.start, Cycle::new(100));
         assert_eq!(g.end, Cycle::new(107));
-        assert_eq!(g.queueing_delay(Cycle::new(100)), Cycles::ZERO);
     }
 
     #[test]
@@ -118,7 +92,6 @@ mod tests {
         assert_eq!(a.end, Cycle::new(10));
         assert_eq!(b.start, Cycle::new(10));
         assert_eq!(c.start, Cycle::new(20));
-        assert_eq!(b.queueing_delay(Cycle::new(3)), Cycles(7));
     }
 
     #[test]
@@ -129,9 +102,6 @@ mod tests {
         let bytes = crate::snap::snapshot_bytes(&r);
         let mut fresh = Resource::new();
         crate::snap::restore_bytes(&mut fresh, &bytes).unwrap();
-        assert_eq!(fresh.next_free(), r.next_free());
-        assert_eq!(fresh.busy_cycles(), r.busy_cycles());
-        assert_eq!(fresh.grants(), r.grants());
         // The restored resource queues new arrivals identically.
         assert_eq!(
             fresh.acquire(Cycle::new(5), Cycles(2)),
@@ -145,7 +115,6 @@ mod tests {
         r.acquire(Cycle::new(0), Cycles(5));
         let g = r.acquire(Cycle::new(50), Cycles(5));
         assert_eq!(g.start, Cycle::new(50));
-        assert_eq!(r.busy_cycles(), Cycles(10));
-        assert_eq!(r.grants(), 2);
+        assert_eq!(g.end, Cycle::new(55));
     }
 }

@@ -41,7 +41,10 @@ pub const SNAP_MAGIC: [u8; 4] = *b"FSNP";
 /// per-transaction blocking flag.
 /// v5: a set-associative array writes each set's ways in recency order,
 /// with no LRU clock and no per-way stamps.
-pub const SNAP_VERSION: u32 = 5;
+/// v6: a link or port saves only the cycle it is next free; the ring's
+/// crossing counters, the fault streams' spent budgets, the stall and
+/// delay cycle totals and the filtered-write-snoop count are gone.
+pub const SNAP_VERSION: u32 = 6;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

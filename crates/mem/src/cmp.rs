@@ -109,14 +109,23 @@ pub struct CmpCaches {
 }
 
 impl CmpCaches {
+    /// The most cores one CMP holds: the residency index stores a core
+    /// index and a copy count in a `u8` each.
+    pub const MAX_CORES: usize = u8::MAX as usize;
+
     /// Creates an idle CMP with `cores` cores and the given cache
     /// geometries; its arrays are allocated at its first access.
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero.
+    /// Panics if `cores` is zero or above [`Self::MAX_CORES`].
     pub fn new(cores: usize, l1_geometry: CacheGeometry, l2_geometry: CacheGeometry) -> Self {
         assert!(cores > 0, "a CMP needs at least one core");
+        assert!(
+            cores <= Self::MAX_CORES,
+            "a CMP holds at most {} cores, not {cores}",
+            Self::MAX_CORES
+        );
         Self {
             l1s: Box::default(),
             l2s: Box::default(),
@@ -471,6 +480,36 @@ mod tests {
             CacheGeometry::from_entries(4, 2),
             CacheGeometry::from_entries(16, 4),
         )
+    }
+
+    #[test]
+    fn the_largest_cmp_indexes_its_last_core() {
+        let mut c = CmpCaches::new(
+            CmpCaches::MAX_CORES,
+            CacheGeometry::from_entries(4, 2),
+            CacheGeometry::from_entries(16, 4),
+        );
+        let last = CmpCaches::MAX_CORES - 1;
+        c.fill(last, LineAddr(7), Sl);
+        assert_eq!(
+            c.local_lookup(1, LineAddr(7)),
+            LocalLookup::Peer {
+                peer: last,
+                state: Sl
+            }
+        );
+        c.fill(last - 1, LineAddr(8), E);
+        assert_eq!(c.supplier_of(LineAddr(8)), Some((last - 1, E)));
+    }
+
+    #[test]
+    #[should_panic(expected = "a CMP holds at most 255 cores, not 256")]
+    fn a_cmp_of_more_than_255_cores_is_rejected() {
+        CmpCaches::new(
+            256,
+            CacheGeometry::from_entries(4, 2),
+            CacheGeometry::from_entries(16, 4),
+        );
     }
 
     #[test]

@@ -344,12 +344,8 @@ pub struct FaultStats {
     pub duplicates: u64,
     /// Messages delivered late.
     pub delays: u64,
-    /// Total extra cycles added by injected delays.
-    pub delay_cycles: u64,
     /// Departures deferred by a stall window.
     pub stall_hits: u64,
-    /// Total cycles departures spent waiting out stall windows.
-    pub stall_cycles: u64,
     /// Torus data messages dropped (bounded by `torus_budget`).
     pub torus_drops: u64,
     /// Hops refused because the link crossed a partition boundary.
@@ -373,9 +369,7 @@ impl Snapshot for FaultStats {
         w.put_u64(self.drops);
         w.put_u64(self.duplicates);
         w.put_u64(self.delays);
-        w.put_u64(self.delay_cycles);
         w.put_u64(self.stall_hits);
-        w.put_u64(self.stall_cycles);
         w.put_u64(self.torus_drops);
         w.put_u64(self.partition_blocked);
         w.put_u64(self.bridge_drops);
@@ -385,9 +379,7 @@ impl Snapshot for FaultStats {
         self.drops = r.get_u64()?;
         self.duplicates = r.get_u64()?;
         self.delays = r.get_u64()?;
-        self.delay_cycles = r.get_u64()?;
         self.stall_hits = r.get_u64()?;
-        self.stall_cycles = r.get_u64()?;
         self.torus_drops = r.get_u64()?;
         self.partition_blocked = r.get_u64()?;
         self.bridge_drops = r.get_u64()?;
@@ -430,16 +422,15 @@ impl HopOutcome {
 }
 
 /// Live fault-injection state attached to a ring network: the plan, its
-/// private RNG stream, the remaining budget and the injected-fault
-/// counters.
+/// private RNG streams and the injected-fault counters. The budgets
+/// spent are those counters: [`FaultStats::injected`] for the ring
+/// budget, `bridge_drops` for the bridge budget.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     plan: FaultPlan,
     rng: SplitMix64,
-    spent: u64,
     stats: FaultStats,
     bridge_rng: SplitMix64,
-    bridge_spent: u64,
 }
 
 impl FaultState {
@@ -451,10 +442,8 @@ impl FaultState {
         FaultState {
             plan,
             rng,
-            spent: 0,
             stats: FaultStats::default(),
             bridge_rng,
-            bridge_spent: 0,
         }
     }
 
@@ -470,7 +459,7 @@ impl FaultState {
 
     /// Randomized-fault budget still available.
     pub fn remaining_budget(&self) -> u64 {
-        self.plan.budget.saturating_sub(self.spent)
+        self.plan.budget.saturating_sub(self.stats.injected())
     }
 
     /// Adjusts a departure time for stall windows covering `node`.
@@ -486,7 +475,6 @@ impl FaultState {
             .copied()
         {
             self.stats.stall_hits += 1;
-            self.stats.stall_cycles += (w.until - depart).0;
             depart = w.until;
         }
         depart
@@ -513,25 +501,21 @@ impl FaultState {
     /// crossing; once the budget is spent every crossing is clean and no
     /// RNG state advances.
     pub fn decide(&mut self, ring: usize, node: usize) -> Option<RingFault> {
-        if self.spent >= self.plan.budget {
+        if self.stats.injected() >= self.plan.budget {
             return None;
         }
         let p_drop = self.plan.drop_for(ring, node);
         if p_drop > 0.0 && self.rng.chance(p_drop) {
-            self.spent += 1;
             self.stats.drops += 1;
             return Some(RingFault::Dropped);
         }
         if self.plan.duplicate > 0.0 && self.rng.chance(self.plan.duplicate) {
-            self.spent += 1;
             self.stats.duplicates += 1;
             return Some(RingFault::Duplicated);
         }
         if self.plan.delay > 0.0 && self.rng.chance(self.plan.delay) {
             let extra = Cycles(1 + self.rng.next_below(self.plan.delay_max.0.max(1)));
-            self.spent += 1;
             self.stats.delays += 1;
-            self.stats.delay_cycles += extra.0;
             return Some(RingFault::Delayed(extra));
         }
         None
@@ -539,7 +523,9 @@ impl FaultState {
 
     /// Bridge-drop budget still available.
     pub fn remaining_bridge_budget(&self) -> u64 {
-        self.plan.bridge_budget.saturating_sub(self.bridge_spent)
+        self.plan
+            .bridge_budget
+            .saturating_sub(self.stats.bridge_drops)
     }
 
     /// Draws the fault decision for one crossing of a hierarchical
@@ -550,11 +536,10 @@ impl FaultState {
     /// bridge budget is spent every crossing is clean and no RNG state
     /// advances.
     pub fn decide_bridge(&mut self) -> Option<RingFault> {
-        if self.bridge_spent >= self.plan.bridge_budget || self.plan.bridge_drop <= 0.0 {
+        if self.stats.bridge_drops >= self.plan.bridge_budget || self.plan.bridge_drop <= 0.0 {
             return None;
         }
         if self.bridge_rng.chance(self.plan.bridge_drop) {
-            self.bridge_spent += 1;
             self.stats.bridge_drops += 1;
             return Some(RingFault::Dropped);
         }
@@ -562,28 +547,24 @@ impl FaultState {
     }
 }
 
-/// Serializes the RNG stream position, the spent budget, and the injected
-/// counters. The plan itself is *not* serialized — it is configuration,
-/// re-armed on the restore target before restoring (see the `Snapshot`
-/// overlay contract). Re-arming a plan with a different budget is legal as
-/// long as the budget covers the faults already spent: faults are consumed
-/// in draw order, so the resumed run continues the same fault schedule
-/// truncated at the new budget.
+/// Serializes the RNG stream positions and the injected counters, which
+/// are also the budgets spent. The plan itself is *not* serialized — it is
+/// configuration, re-armed on the restore target before restoring (see the
+/// `Snapshot` overlay contract). Re-arming a plan with a different budget
+/// is legal as long as the budget covers the faults already injected:
+/// faults are consumed in draw order, so the resumed run continues the
+/// same fault schedule truncated at the new budget.
 impl Snapshot for FaultState {
     fn save_into(&self, w: &mut SnapWriter) {
         w.put_u64(self.rng.state());
-        w.put_u64(self.spent);
         self.stats.save_into(w);
         w.put_u64(self.bridge_rng.state());
-        w.put_u64(self.bridge_spent);
     }
 
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rng = SplitMix64::new(r.get_u64()?);
-        self.spent = r.get_u64()?;
         self.stats.restore_from(r)?;
         self.bridge_rng = SplitMix64::new(r.get_u64()?);
-        self.bridge_spent = r.get_u64()?;
         Ok(())
     }
 }
@@ -608,7 +589,7 @@ const BRIDGE_STREAM: u64 = 0xB21D_6E5A_10CA_17E5;
 pub struct TorusFaultState {
     plan: FaultPlan,
     rng: SplitMix64,
-    spent: u64,
+    /// Drops injected so far, which is also the torus budget spent.
     drops: u64,
 }
 
@@ -619,7 +600,6 @@ impl TorusFaultState {
         TorusFaultState {
             plan,
             rng,
-            spent: 0,
             drops: 0,
         }
     }
@@ -636,17 +616,16 @@ impl TorusFaultState {
 
     /// Torus-drop budget still available.
     pub fn remaining_budget(&self) -> u64 {
-        self.plan.torus_budget.saturating_sub(self.spent)
+        self.plan.torus_budget.saturating_sub(self.drops)
     }
 
     /// Draws the drop decision for one faultable torus send. Returns
     /// `true` if the message is lost.
     pub fn decide(&mut self) -> bool {
-        if self.spent >= self.plan.torus_budget || self.plan.torus_drop <= 0.0 {
+        if self.drops >= self.plan.torus_budget || self.plan.torus_drop <= 0.0 {
             return false;
         }
         if self.rng.chance(self.plan.torus_drop) {
-            self.spent += 1;
             self.drops += 1;
             return true;
         }
@@ -654,18 +633,16 @@ impl TorusFaultState {
     }
 }
 
-/// Same contract as [`FaultState`]'s impl: stream position, spent budget
-/// and drop counter; the plan is re-armed from configuration.
+/// Same contract as [`FaultState`]'s impl: stream position and drop
+/// counter; the plan is re-armed from configuration.
 impl Snapshot for TorusFaultState {
     fn save_into(&self, w: &mut SnapWriter) {
         w.put_u64(self.rng.state());
-        w.put_u64(self.spent);
         w.put_u64(self.drops);
     }
 
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.rng = SplitMix64::new(r.get_u64()?);
-        self.spent = r.get_u64()?;
         self.drops = r.get_u64()?;
         Ok(())
     }
@@ -834,13 +811,13 @@ mod tests {
 
     #[test]
     fn snapshot_resume_under_smaller_budget_truncates_schedule() {
-        // Resuming a snapshot into a plan with budget b >= spent behaves
+        // Resuming a snapshot into a plan with budget b >= injected behaves
         // exactly like a from-scratch run with budget b.
         let mut plan = FaultPlan::random(7, 8, 2);
         plan.budget = 20;
         let mut live = FaultState::new(plan.clone());
         let mut step = 0u64;
-        // Run until 3 faults are spent, then snapshot.
+        // Run until 3 faults are injected, then snapshot.
         while live.stats().injected() < 3 {
             live.decide((step % 2) as usize, (step % 8) as usize);
             step += 1;
@@ -1010,6 +987,5 @@ mod tests {
         assert_eq!(st.departure(1, Cycle::new(99)), Cycle::new(99));
         assert_eq!(st.departure(0, Cycle::new(120)), Cycle::new(120));
         assert_eq!(st.stats().stall_hits, 1);
-        assert_eq!(st.stats().stall_cycles, 30);
     }
 }

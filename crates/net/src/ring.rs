@@ -125,10 +125,6 @@ pub struct RingNetwork {
     /// leaves the bridge of group `g`). Flat rings have `stride = nodes`
     /// — the exact layout this field always had.
     links: Vec<Resource>,
-    messages_sent: u64,
-    link_crossings: u64,
-    /// Crossings of global-ring (bridge) links only; zero when flat.
-    bridge_crossings: u64,
     /// Armed fault injection, if any (see [`crate::fault`]). `None` is
     /// the lossless fast path: no RNG, no per-hop overhead.
     faults: Option<FaultState>,
@@ -148,9 +144,6 @@ impl RingNetwork {
             links: (0..config.rings * stride)
                 .map(|_| Resource::new())
                 .collect(),
-            messages_sent: 0,
-            link_crossings: 0,
-            bridge_crossings: 0,
             faults: None,
         }
     }
@@ -236,14 +229,13 @@ impl RingNetwork {
     /// [`FaultPlan`] the message may be dropped, duplicated or delayed,
     /// and a stall window covering `from` defers its departure.
     ///
-    /// Dropped messages still occupy the link and count as crossings
-    /// (the flit crosses part of the link before vanishing; energy is
-    /// spent either way); a duplicate serializes behind the original on
-    /// the same link. A hop whose link crosses an active partition
-    /// boundary is refused: it occupies the link and counts, but never
+    /// Dropped messages still occupy the link (the flit crosses part of
+    /// the link before vanishing); a duplicate serializes behind the
+    /// original on the same link. A hop whose link crosses an active
+    /// partition boundary is refused: it occupies the link but never
     /// arrives, and no randomized fault is drawn for it (partitions are
     /// deterministic and budget-free). Without an armed plan every
-    /// message is delivered.
+    /// message is delivered. The caller counts the hop either way.
     ///
     /// # Panics
     ///
@@ -254,10 +246,7 @@ impl RingNetwork {
         // its group, so partition islands see the true local endpoints.
         let to = self.next_node(from);
         let Some(faults) = &mut self.faults else {
-            let link = &mut self.links[idx];
-            let grant = link.acquire(now, self.config.link_service);
-            self.messages_sent += 1;
-            self.link_crossings += 1;
+            let grant = self.links[idx].acquire(now, self.config.link_service);
             return HopOutcome::delivered(grant.end + self.config.hop_latency);
         };
         let depart = faults.departure(from.0, now);
@@ -266,10 +255,7 @@ impl RingNetwork {
             // occupancy and energy are real, delivery never happens. The
             // RNG stream does not advance, so a plan's randomized fault
             // schedule is identical with and without partition windows.
-            let link = &mut self.links[idx];
-            link.acquire(depart, self.config.link_service);
-            self.messages_sent += 1;
-            self.link_crossings += 1;
+            self.links[idx].acquire(depart, self.config.link_service);
             // `fault: None`: a refusal is not a randomized fault, so the
             // probe's per-kind fault counters stay equal to the plan's
             // drop/duplicate/delay stats; the loss itself shows up in
@@ -283,8 +269,6 @@ impl RingNetwork {
         let fault = faults.decide(ring, from.0);
         let link = &mut self.links[idx];
         let grant = link.acquire(depart, self.config.link_service);
-        self.messages_sent += 1;
-        self.link_crossings += 1;
         let base = grant.end + self.config.hop_latency;
         match fault {
             None => HopOutcome {
@@ -299,10 +283,8 @@ impl RingNetwork {
             },
             Some(RingFault::Duplicated) => {
                 // The copy is a second real message: it serializes
-                // behind the original and burns its own link crossing.
+                // behind the original and occupies the link in turn.
                 let copy = link.acquire(grant.end, self.config.link_service);
-                self.messages_sent += 1;
-                self.link_crossings += 1;
                 HopOutcome {
                     arrival: Some(base),
                     duplicate: Some(copy.end + self.config.hop_latency),
@@ -377,7 +359,7 @@ impl RingNetwork {
     /// defer the departure, partition windows between the two bridge
     /// endpoints refuse the hop, and the bridge fault stream
     /// ([`FaultPlan::bridge_drop`]) may drop it; bridges never duplicate
-    /// or delay. Counts toward [`Self::bridge_crossings`].
+    /// or delay.
     ///
     /// # Panics
     ///
@@ -387,9 +369,6 @@ impl RingNetwork {
         let idx = self.global_link_index(ring, from);
         let bridge = CmpId(from.0 / h.local * h.local);
         let to = self.global_next(from);
-        self.messages_sent += 1;
-        self.link_crossings += 1;
-        self.bridge_crossings += 1;
         let Some(faults) = &mut self.faults else {
             let grant = self.links[idx].acquire(now, h.bridge_service);
             return HopOutcome::delivered(grant.end + h.bridge_latency);
@@ -417,22 +396,6 @@ impl RingNetwork {
         }
     }
 
-    /// Total crossings of global-ring (bridge) links; zero when flat.
-    pub fn bridge_crossings(&self) -> u64 {
-        self.bridge_crossings
-    }
-
-    /// Total messages sent over any link (each hop counts once); this is
-    /// the quantity Figure 7 reports, aggregated over a run.
-    pub fn link_crossings(&self) -> u64 {
-        self.link_crossings
-    }
-
-    /// Total busy cycles over all links of all rings (for utilization).
-    pub fn total_busy(&self) -> Cycles {
-        self.links.iter().map(|l| l.busy_cycles()).sum()
-    }
-
     /// Estimated heap footprint of the network in bytes (the flat link
     /// array dominates; fault state is bounded and ignored).
     pub fn footprint_bytes(&self) -> u64 {
@@ -440,19 +403,16 @@ impl RingNetwork {
     }
 }
 
-/// Serializes link occupancy, traffic counters, and the live fault-stream
-/// state. The config and fault *plan* are not serialized: the restore
-/// target must be built from the same `RingConfig` and have the matching
-/// fault plan armed first (lossless ⇔ lossless), which the restore checks.
+/// Serializes link occupancy and the live fault-stream state. The config
+/// and fault *plan* are not serialized: the restore target must be built
+/// from the same `RingConfig` and have the matching fault plan armed
+/// first (lossless ⇔ lossless), which the restore checks.
 impl Snapshot for RingNetwork {
     fn save_into(&self, w: &mut SnapWriter) {
         w.put_usize(self.links.len());
         for link in &self.links {
             link.save_into(w);
         }
-        w.put_u64(self.messages_sent);
-        w.put_u64(self.link_crossings);
-        w.put_u64(self.bridge_crossings);
         match &self.faults {
             None => w.put_bool(false),
             Some(f) => {
@@ -470,9 +430,6 @@ impl Snapshot for RingNetwork {
         for link in &mut self.links {
             link.restore_from(r)?;
         }
-        self.messages_sent = r.get_u64()?;
-        self.link_crossings = r.get_u64()?;
-        self.bridge_crossings = r.get_u64()?;
         let had_faults = r.get_bool()?;
         match (&mut self.faults, had_faults) {
             (None, false) => {}
@@ -627,26 +584,34 @@ mod tests {
     }
 
     #[test]
-    fn crossing_counter_accumulates() {
-        let mut n = net();
-        for i in 0..5 {
-            n.send_hop_outcome(0, CmpId(i % 8), Cycle::new(i as u64 * 100));
-        }
-        assert_eq!(n.link_crossings(), 5);
-    }
-
-    #[test]
     fn always_drop_plan_drops_everything() {
         let mut n = net();
         let mut plan = crate::fault::FaultPlan::lossless();
         plan.drop = 1.0;
         plan.budget = u64::MAX;
         n.set_fault_plan(plan);
+        for i in 0..4 {
+            let out = n.send_hop_outcome(0, CmpId(i), Cycle::new(0));
+            assert_eq!(out.arrival, None);
+            assert_eq!(out.fault, Some(crate::fault::RingFault::Dropped));
+        }
+        assert_eq!(n.fault_stats().drops, 4);
+    }
+
+    #[test]
+    fn dropped_flit_still_occupies_its_link() {
+        let mut n = net();
+        let mut plan = crate::fault::FaultPlan::lossless();
+        plan.drop = 1.0;
+        plan.budget = 1;
+        n.set_fault_plan(plan);
         let out = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
-        assert_eq!(out.arrival, None);
         assert_eq!(out.fault, Some(crate::fault::RingFault::Dropped));
-        assert_eq!(n.fault_stats().drops, 1);
-        assert_eq!(n.link_crossings(), 1, "a dropped flit still crossed");
+        // The budget is spent, so the next flit is clean, but it queues
+        // behind the dropped one: 4 cycles of service later than on an
+        // idle link.
+        let next = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
+        assert_eq!(next, HopOutcome::delivered(Cycle::new(47)));
     }
 
     #[test]
@@ -660,10 +625,10 @@ mod tests {
         assert_eq!(out.arrival, Some(Cycle::new(43)));
         assert_eq!(out.duplicate, Some(Cycle::new(47)));
         assert_eq!(n.fault_stats().duplicates, 1);
-        assert_eq!(n.link_crossings(), 2, "the copy is a real crossing");
-        // Budget spent: the next crossing is clean.
-        let out = n.send_hop_outcome(0, CmpId(1), Cycle::new(0));
-        assert_eq!(out.fault, None);
+        // Budget spent: the next crossing is clean, and it queues behind
+        // both the original and the copy.
+        let next = n.send_hop_outcome(0, CmpId(0), Cycle::new(0));
+        assert_eq!(next, HopOutcome::delivered(Cycle::new(51)));
     }
 
     #[test]
@@ -679,7 +644,6 @@ mod tests {
         let out = n.send_hop_outcome(0, CmpId(2), Cycle::new(10));
         assert_eq!(out.arrival, Some(Cycle::new(143)));
         assert_eq!(n.fault_stats().stall_hits, 1);
-        assert_eq!(n.fault_stats().stall_cycles, 90);
     }
 
     #[test]
@@ -689,20 +653,20 @@ mod tests {
         plan.partitions.push(crate::fault::PartitionWindow {
             islands: vec![0, 0, 0, 0, 1, 1, 1, 1],
             from: Cycle::new(0),
-            until: Cycle::new(1_000),
+            until: Cycle::new(12),
         });
         n.set_fault_plan(plan);
         // Boundary link 3 -> 4 is refused while partitioned.
         let out = n.send_hop_outcome(0, CmpId(3), Cycle::new(10));
         assert_eq!(out.arrival, None);
         assert_eq!(out.fault, None, "a refusal is not a randomized fault");
-        assert_eq!(n.link_crossings(), 1, "the refused flit still crossed");
         // Intra-island hops are untouched.
         let out = n.send_hop_outcome(0, CmpId(0), Cycle::new(10));
         assert_eq!(out.arrival, Some(Cycle::new(53)));
-        // After the heal the boundary link delivers again.
-        let out = n.send_hop_outcome(0, CmpId(3), Cycle::new(1_000));
-        assert!(out.arrival.is_some());
+        // After the heal the boundary link delivers again, queued behind
+        // the refused flit, which held the link until cycle 14.
+        let out = n.send_hop_outcome(0, CmpId(3), Cycle::new(12));
+        assert_eq!(out, HopOutcome::delivered(Cycle::new(14 + 43)));
         assert_eq!(n.fault_stats().partition_blocked, 1);
     }
 
@@ -749,9 +713,7 @@ mod tests {
         let mut resumed = net();
         resumed.set_fault_plan(plan);
         flexsnoop_engine::snap::restore_bytes(&mut resumed, &bytes).unwrap();
-        assert_eq!(resumed.link_crossings(), live.link_crossings());
         assert_eq!(resumed.fault_stats(), live.fault_stats());
-        assert_eq!(resumed.total_busy(), live.total_busy());
         // Future traffic is bit-identical: same queueing, same faults.
         for i in 200..600u64 {
             let (ring, from, t) = ((i % 2) as usize, CmpId((i % 8) as usize), Cycle::new(i * 3));
@@ -838,12 +800,10 @@ mod tests {
     }
 
     #[test]
-    fn global_hop_uses_bridge_timing_and_counts() {
+    fn global_hop_uses_bridge_timing() {
         let mut n = hier_net();
         let out = n.send_global_hop_outcome(0, CmpId(2), Cycle::new(0));
         assert_eq!(out, HopOutcome::delivered(Cycle::new(8 + 60)));
-        assert_eq!(n.bridge_crossings(), 1);
-        assert_eq!(n.link_crossings(), 1);
         // The two bridges' global links are distinct resources; the
         // local link leaving node 0 is yet another.
         let other = n.send_global_hop_outcome(0, CmpId(5), Cycle::new(0));
@@ -951,7 +911,6 @@ mod tests {
         let mut resumed = hier_net();
         resumed.set_fault_plan(plan);
         flexsnoop_engine::snap::restore_bytes(&mut resumed, &bytes).unwrap();
-        assert_eq!(resumed.bridge_crossings(), live.bridge_crossings());
         assert_eq!(resumed.fault_stats(), live.fault_stats());
         for i in 100..400u64 {
             let (ring, from, t) = ((i % 2) as usize, CmpId((i % 8) as usize), Cycle::new(i * 3));

@@ -24,9 +24,10 @@ use crate::names::{parse_algorithm, parse_predictor, parse_workload};
 /// fixed arrays (one wheel, no second level), version 5's count
 /// set-associative arrays as one way slab and a `u32` head per set,
 /// version 6's count 16-byte ways and no arrays for a CMP never accessed,
-/// and version 7's count 9- and 8-byte ways, no arrays for a CMP that
-/// never filled a line, and hash maps as their SwissTable allocation.
-const JOB_OUTPUT_VERSION: u32 = 7;
+/// version 7's count 9- and 8-byte ways, no arrays for a CMP that
+/// never filled a line, and hash maps as their SwissTable allocation,
+/// and version 8's count 8-byte links and ports.
+const JOB_OUTPUT_VERSION: u32 = 8;
 
 /// One simulation run, described by names rather than types.
 ///

@@ -22,6 +22,12 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// The most cores a parsed trace may name (core ids `0..MAX_CORES`):
+    /// 2^20, the largest ring any workload runs at one core per CMP. The
+    /// parser sizes its per-core table from the largest id it reads, so
+    /// the bound keeps one bad line from asking for terabytes.
+    pub const MAX_CORES: usize = 1 << 20;
+
     /// Creates an empty trace for `cores` cores.
     pub fn new(cores: usize) -> Self {
         Self {
@@ -91,7 +97,8 @@ impl FromStr for Trace {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first malformed line.
+    /// Returns a message naming the first malformed line, including one
+    /// whose core id is not below [`Trace::MAX_CORES`].
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut per_core: Vec<Vec<MemAccess>> = Vec::new();
         for (no, raw) in s.lines().enumerate() {
@@ -106,6 +113,9 @@ impl FromStr for Trace {
                 .ok_or_else(|| err("missing core"))?
                 .parse()
                 .map_err(|_| err("bad core"))?;
+            if core >= Trace::MAX_CORES {
+                return Err(err("core id not below 2^20"));
+            }
             let write = match parts.next().ok_or_else(|| err("missing r/w"))? {
                 "r" => false,
                 "w" => true,
@@ -166,6 +176,19 @@ mod tests {
         assert!("0 r zz 5".parse::<Trace>().is_err());
         assert!("0 r 0x10".parse::<Trace>().is_err());
         assert!("0 r 0x10 5 extra".parse::<Trace>().is_err());
+    }
+
+    #[test]
+    fn parser_bounds_core_ids() {
+        let last = format!("{} r 0x1 0", Trace::MAX_CORES - 1);
+        assert_eq!(last.parse::<Trace>().unwrap().cores(), Trace::MAX_CORES);
+        let text = "0 r 0x1 0\n1099511627776 r 0x1 0\n";
+        assert_eq!(
+            text.parse::<Trace>().unwrap_err(),
+            "line 2: core id not below 2^20: \"1099511627776 r 0x1 0\""
+        );
+        let first_past = format!("{} r 0x1 0", Trace::MAX_CORES);
+        assert!(first_past.parse::<Trace>().is_err());
     }
 
     #[test]
